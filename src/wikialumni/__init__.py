@@ -1,38 +1,4 @@
 """wikialumni: mine university-alumni relations from Wikipedia dumps,
 attribute pageviews, and rank universities by alumni popularity."""
 
-from .alumni import AlumniRecord, match_alumni, split_sentences, write_dataset
-from .analytics import (
-    DescriptiveStats,
-    FilterSpec,
-    Ranking,
-    apply_filter,
-    audit_sample,
-    correlate,
-    correlation_matrix,
-    describe,
-    load_external_ranking,
-    rank_universities,
-)
-from .dump import DumpSource, WikiPage, collect_redirects, stream_pages
-from .pageviews import (
-    CrossLangLink,
-    FixtureBackend,
-    LiveBackend,
-    PageViewStat,
-    ViewCache,
-    ViewClient,
-    enrich_records,
-    university_views,
-)
-from .persons import PersonPage, detect_person, extract_birth_year, persist_person
-from .registry import (
-    MarkerDictionary,
-    Registry,
-    University,
-    load_dictionary,
-    load_registry,
-    normalize_title,
-)
-
 __version__ = "0.1.0"

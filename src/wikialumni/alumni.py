@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .persons import PersonPage
 from .registry import MarkerDictionary, Registry
+from .tsv import read_tsv, write_tsv
 
 BASE_COLUMNS = ["university_id", "university_name", "person_link", "birth_year", "lang"]
 ENRICHED_COLUMNS = BASE_COLUMNS + ["person_link_en", "views_total"]
@@ -137,9 +138,7 @@ def write_dataset(
 ) -> Path:
     """Write the tab-separated dataset, stably sorted; header-only when
     there are no records."""
-    path = Path(path)
-    columns = ENRICHED_COLUMNS if enriched else BASE_COLUMNS
-    lines = ["\t".join(columns)]
+    rows = []
     for rec in sorted_records(merge_records(records)):
         row = [
             str(rec.university_id),
@@ -151,26 +150,16 @@ def write_dataset(
         if enriched:
             row.append(rec.person_link_en or "")
             row.append("" if rec.views_total is None else str(rec.views_total))
-        lines.append("\t".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        rows.append(row)
+    return write_tsv(path, ENRICHED_COLUMNS if enriched else BASE_COLUMNS, rows)
 
 
 def read_dataset(path: str | Path) -> list[AlumniRecord]:
     """Read a dataset file written by write_dataset (either schema)."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return []
-    header = lines[0].split("\t")
-    if header not in (BASE_COLUMNS, ENRICHED_COLUMNS):
-        raise ValueError(f"{path}: unrecognized dataset header {header}")
+    header, rows = read_tsv(path, headers=[BASE_COLUMNS, ENRICHED_COLUMNS])
     enriched = header == ENRICHED_COLUMNS
     records = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split("\t")
+    for parts in rows:
         rec = AlumniRecord(
             university_id=int(parts[0]),
             university_name=parts[1],

@@ -13,11 +13,11 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .alumni import AlumniRecord
 from .errors import CorrelationError, ExternalRankingError
 from .registry import Registry
+from .tsv import read_tsv, write_tsv
 
 SCORE_ALUMNI = "alumni_view_sum"
 SCORE_UNIVERSITY_PAGE = "university_page_views"
@@ -123,7 +123,6 @@ def describe(records: Sequence[AlumniRecord]) -> DescriptiveStats:
 def rank_universities(
     records: Iterable[AlumniRecord],
     spec: FilterSpec | None = None,
-    registry: Registry | None = None,
     name: str = "",
 ) -> Ranking:
     """Rank by exact integer sum of views_total per university over the
@@ -136,9 +135,7 @@ def rank_universities(
         if rec.views_total is None:
             continue
         sums[rec.university_id] = sums.get(rec.university_id, 0) + rec.views_total
-        names[rec.university_id] = (
-            registry.name_of(rec.university_id) if registry else rec.university_name
-        )
+        names[rec.university_id] = rec.university_name
     ordered = sorted(sums.items(), key=lambda kv: (-kv[1], names[kv[0]]))
     return Ranking(
         entries=tuple((uid, float(score)) for uid, score in ordered),
@@ -180,12 +177,22 @@ def correlate(
     a = np.array([scores_a[uid] for uid in common], dtype=np.float64)
     b = np.array([scores_b[uid] for uid in common], dtype=np.float64)
     if method == METHOD_SPEARMAN:
-        ra = stats.rankdata(a)
-        rb = stats.rankdata(b)
-        coef = _pearson(ra, rb)
+        coef = _pearson(_average_ranks(a), _average_ranks(b))
     else:
         coef = _pearson(a, b)
     return CorrelationResult(coefficient=coef, n_common=len(common), method=method)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each group of tied values gets the mean of its
+    positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -247,43 +254,28 @@ def load_external_ranking(
     Returns (ranking, unmapped names).  Rank positions are negated into
     scores so that "sorted by score descending" means "best rank first".
     """
-    mapping: dict[str, int] = {}
-    map_path = Path(mapping_file)
-    lines = map_path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split("\t") != ["external_name", "university_id"]:
-        raise ExternalRankingError(f"{map_path}: expected header external_name\tuniversity_id")
-    for line in lines[1:]:
-        if not line:
-            continue
-        ext_name, uid = line.split("\t")
-        mapping[ext_name] = int(uid)
+    _, rows = read_tsv(
+        mapping_file, headers=[["external_name", "university_id"]], error=ExternalRankingError
+    )
+    mapping = {ext_name: int(uid) for ext_name, uid in rows}
 
-    path = Path(ranking_file)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split("\t") if lines else []
-    if header not in (["name", "rank"], ["name", "score"]):
-        raise ExternalRankingError(
-            f"{path}: expected header name\trank or name\tscore, got {header}"
-        )
+    header, rows = read_tsv(
+        ranking_file, headers=[["name", "rank"], ["name", "score"]], error=ExternalRankingError
+    )
     is_rank = header[1] == "rank"
     scores: dict[int, float] = {}
     names: dict[int, str] = {}
     unmapped: list[str] = []
-    total = 0
-    for line in lines[1:]:
-        if not line:
-            continue
-        ext_name, value = line.split("\t")
-        total += 1
+    for ext_name, value in rows:
         uid = mapping.get(ext_name)
         if uid is None or uid not in registry.universities:
             unmapped.append(ext_name)
             continue
         scores[uid] = -float(value) if is_rank else float(value)
         names[uid] = registry.name_of(uid)
-    if total and len(unmapped) / total > max_unmapped_fraction:
+    if rows and len(unmapped) / len(rows) > max_unmapped_fraction:
         raise ExternalRankingError(
-            f"{path}: {len(unmapped)}/{total} names unmapped "
+            f"{ranking_file}: {len(unmapped)}/{len(rows)} names unmapped "
             f"(limit {max_unmapped_fraction:.0%}): {unmapped[:5]}"
         )
     ranking = ranking_from_scores(scores, SCORE_EXTERNAL, names, name=name)
@@ -301,10 +293,8 @@ def audit_sample(
 
 
 def write_audit_file(sample: Sequence[AlumniRecord], path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["person_link\tuniversity_name\ttrigger\tsentence"]
-    for rec in sample:
-        sentence = " ".join(rec.sentence.split())
-        lines.append(f"{rec.person_link}\t{rec.university_name}\t{rec.trigger}\t{sentence}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    rows = [
+        (rec.person_link, rec.university_name, rec.trigger, " ".join(rec.sentence.split()))
+        for rec in sample
+    ]
+    return write_tsv(path, ["person_link", "university_name", "trigger", "sentence"], rows)

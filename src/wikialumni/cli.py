@@ -18,6 +18,7 @@ from .config import MODE_FIXTURE, NamedFilter, PipelineConfig, load_config
 from .dump import DumpSource, collect_redirects, stream_pages
 from .errors import ConfigError, WikiAlumniError
 from .registry import load_dictionary, load_registry
+from .tsv import read_tsv, write_text_atomic, write_tsv
 
 MANIFEST_NAME = "ingest_manifest.json"
 DATASET_NAME = "dataset.tsv"
@@ -25,6 +26,15 @@ ENRICHED_NAME = "dataset_enriched.tsv"
 EVIDENCE_NAME = "evidence.tsv"
 UNIVERSITY_VIEWS_NAME = "university_views.tsv"
 LOCK_NAME = ".lock"
+
+EVIDENCE_COLUMNS = [
+    "university_id", "university_name", "person_link", "lang", "trigger", "sentence"
+]
+UNIVERSITY_VIEWS_COLUMNS = ["university_id", "university_name", "year", "views"]
+STATS_COLUMNS = [
+    "filter", "n_alumni", "n_universities", "mean_views", "median_views", "stddev_views"
+]
+RANKING_COLUMNS = ["rank", "university_id", "university_name", "score"]
 
 
 class OutputLock:
@@ -93,11 +103,7 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
             person_dir.mkdir(parents=True, exist_ok=True)
             try:
                 dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
-                source = DumpSource(
-                    path=str(lang_cfg.dump),
-                    lang=lang_cfg.code,
-                    dump_date=lang_cfg.dump_date,
-                )
+                source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
                 n_pages = n_persons = 0
                 redirect_pages = []
                 for page in stream_pages(source):
@@ -111,16 +117,10 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
                     if marker is None:
                         continue
                     year = persons.extract_birth_year(page)
-                    persons.persist_person(
-                        persons.PersonPage(page, year, marker), person_dir
-                    )
+                    persons.persist_person(persons.PersonPage(page, year), person_dir)
                     n_persons += 1
                 resolved, unresolvable = collect_redirects(redirect_pages)
-                redirect_path = out / "redirects" / f"{lang_cfg.code}.tsv"
-                lines = [f"{a}\t{t}" for a, t in sorted(resolved.items())]
-                redirect_path.write_text(
-                    "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-                )
+                write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
                 languages[lang_cfg.code] = {
                     "status": "ok",
                     "pages": n_pages,
@@ -135,8 +135,8 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
                 echo(f"ingest: {lang_cfg.code}: FAILED: {exc}", err=True)
                 failed = True
         manifest = {"languages": languages}
-        (out / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        write_text_atomic(
+            out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
     return 1 if failed else 0
 
@@ -145,13 +145,7 @@ def _load_redirect_maps(config: PipelineConfig) -> dict[str, dict[str, str]]:
     maps: dict[str, dict[str, str]] = {}
     for lang_cfg in config.languages:
         path = config.output_dir / "redirects" / f"{lang_cfg.code}.tsv"
-        mapping: dict[str, str] = {}
-        if path.exists():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if line:
-                    alias, target = line.split("\t")
-                    mapping[alias] = target
-        maps[lang_cfg.code] = mapping
+        maps[lang_cfg.code] = dict(read_tsv(path, n_cols=2)[1]) if path.exists() else {}
     return maps
 
 
@@ -189,34 +183,28 @@ def run_extract(config: PipelineConfig, echo=click.echo) -> int:
 
 
 def _write_evidence(records, path: Path) -> None:
-    lines = ["university_id\tuniversity_name\tperson_link\tlang\ttrigger\tsentence"]
-    for rec in alumni.sorted_records(records):
-        sentence = " ".join(rec.sentence.split())
-        lines.append(
-            f"{rec.university_id}\t{rec.university_name}\t{rec.person_link}"
-            f"\t{rec.lang}\t{rec.trigger}\t{sentence}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [
+        (str(rec.university_id), rec.university_name, rec.person_link, rec.lang, rec.trigger,
+         " ".join(rec.sentence.split()))
+        for rec in alumni.sorted_records(records)
+    ]
+    write_tsv(path, EVIDENCE_COLUMNS, rows)
 
 
 def _read_evidence(path: Path) -> list[alumni.AlumniRecord]:
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        if not line:
-            continue
-        uid, name, person, lang, trigger, sentence = line.split("\t")
-        records.append(
-            alumni.AlumniRecord(
-                university_id=int(uid),
-                university_name=name,
-                person_link=person,
-                birth_year=None,
-                lang=lang,
-                trigger=trigger,
-                sentence=sentence,
-            )
+    _, rows = read_tsv(path, headers=[EVIDENCE_COLUMNS])
+    return [
+        alumni.AlumniRecord(
+            university_id=int(uid),
+            university_name=name,
+            person_link=person,
+            birth_year=None,
+            lang=lang,
+            trigger=trigger,
+            sentence=sentence,
         )
-    return records
+        for uid, name, person, lang, trigger, sentence in rows
+    ]
 
 
 def build_view_client(config: PipelineConfig) -> pageviews.ViewClient:
@@ -246,12 +234,11 @@ def run_views(config: PipelineConfig, echo=click.echo) -> int:
 
         registry = load_registry(config.universities_file, _load_redirect_maps(config))
         totals = pageviews.university_views(registry, config.analysis_year, client)
-        lines = ["university_id\tuniversity_name\tyear\tviews"]
-        for uid in sorted(totals):
-            lines.append(
-                f"{uid}\t{registry.name_of(uid)}\t{config.analysis_year}\t{totals[uid]}"
-            )
-        (out / UNIVERSITY_VIEWS_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [
+            (str(uid), registry.name_of(uid), str(config.analysis_year), str(totals[uid]))
+            for uid in sorted(totals)
+        ]
+        write_tsv(out / UNIVERSITY_VIEWS_NAME, UNIVERSITY_VIEWS_COLUMNS, rows)
 
         n_unresolved = sum(1 for rec in enriched if rec.unresolved)
         echo(f"views: {len(enriched)} records enriched, {n_unresolved} unresolved")
@@ -274,21 +261,19 @@ def run_report(config: PipelineConfig, echo=click.echo) -> int:
 
     named_filters = list(config.filters) or [NamedFilter("full", analytics.FilterSpec())]
 
-    stats_lines = provenance + [
-        "filter\tn_alumni\tn_universities\tmean_views\tmedian_views\tstddev_views"
-    ]
+    stats_rows = []
     rankings = []
     for nf in named_filters:
         surviving = analytics.apply_filter(records, nf.spec)
         stats = analytics.describe([r for r in surviving if r.views_total is not None])
-        stats_lines.append(
-            f"{nf.name}\t{stats.n_alumni}\t{stats.n_universities}"
-            f"\t{_fmt(stats.mean_views)}\t{_fmt(stats.median_views)}\t{_fmt(stats.stddev_views)}"
+        stats_rows.append(
+            (nf.name, str(stats.n_alumni), str(stats.n_universities),
+             _fmt(stats.mean_views), _fmt(stats.median_views), _fmt(stats.stddev_views))
         )
         ranking = analytics.rank_universities(records, nf.spec, name=nf.name)
         rankings.append(ranking)
         _write_ranking(ranking, registry, reports / f"ranking_{nf.name}.tsv", provenance)
-    (reports / "stats.tsv").write_text("\n".join(stats_lines) + "\n", encoding="utf-8")
+    write_tsv(reports / "stats.tsv", STATS_COLUMNS, stats_rows, comments=provenance)
 
     for ext in config.external_rankings:
         ranking, unmapped = analytics.load_external_ranking(
@@ -302,8 +287,9 @@ def run_report(config: PipelineConfig, echo=click.echo) -> int:
         matrix = analytics.correlation_matrix(rankings, config.correlation_method)
         labels = [r.name for r in rankings]
         header = "\n".join(provenance + [f"# method: {config.correlation_method}"])
-        (reports / "correlation_matrix.txt").write_text(
-            header + "\n" + analytics.render_matrix(matrix, labels), encoding="utf-8"
+        write_text_atomic(
+            reports / "correlation_matrix.txt",
+            header + "\n" + analytics.render_matrix(matrix, labels),
         )
 
     uni_views_path = out / UNIVERSITY_VIEWS_NAME
@@ -320,18 +306,16 @@ def _fmt(value: float | None) -> str:
 
 
 def _write_ranking(ranking, registry, path: Path, provenance: list[str]) -> None:
-    lines = provenance + ["rank\tuniversity_id\tuniversity_name\tscore"]
-    for pos, (uid, score) in enumerate(ranking.entries, 1):
-        lines.append(f"{pos}\t{uid}\t{registry.name_of(uid)}\t{score:.0f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [
+        (str(pos), str(uid), registry.name_of(uid), f"{score:.0f}")
+        for pos, (uid, score) in enumerate(ranking.entries, 1)
+    ]
+    write_tsv(path, RANKING_COLUMNS, rows, comments=provenance)
 
 
 def _write_alumni_vs_university(records, uni_views_path, registry, reports, provenance):
-    totals: dict[int, int] = {}
-    for line in uni_views_path.read_text(encoding="utf-8").splitlines()[1:]:
-        if line:
-            uid, _name, _year, views = line.split("\t")
-            totals[int(uid)] = int(views)
+    _, rows = read_tsv(uni_views_path, headers=[UNIVERSITY_VIEWS_COLUMNS])
+    totals = {int(uid): int(views) for uid, _name, _year, views in rows}
     names = {uid: registry.name_of(uid) for uid in totals}
     uni_ranking = analytics.ranking_from_scores(
         {u: float(v) for u, v in totals.items()},
@@ -349,9 +333,7 @@ def _write_alumni_vs_university(records, uni_views_path, registry, reports, prov
             )
         except analytics.CorrelationError as exc:
             lines.append(f"{method}\tn/a\t{exc}")
-    (reports / "alumni_vs_university.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(reports / "alumni_vs_university.txt", "\n".join(lines) + "\n")
 
 
 def run_audit(config: PipelineConfig, echo=click.echo) -> int:

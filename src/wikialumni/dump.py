@@ -48,7 +48,6 @@ class DumpSource:
 
     path: str
     lang: str
-    dump_date: str = ""
 
 
 def _open_dump(path: str) -> IO[bytes]:
@@ -89,11 +88,6 @@ def stream_pages(source: DumpSource) -> Iterator[WikiPage]:
         yield from _iter_pages(stream, source)
     finally:
         stream.close()
-
-
-def parse_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
-    """Like stream_pages but over an already-open binary stream."""
-    yield from _iter_pages(stream, source)
 
 
 def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:

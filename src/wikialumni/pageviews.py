@@ -19,6 +19,7 @@ from typing import Iterable, Protocol
 from .alumni import AlumniRecord
 from .errors import FetchError
 from .registry import Registry
+from .tsv import read_tsv
 
 SOURCE_LIVE = "live_api"
 SOURCE_FIXTURE = "fixture"
@@ -49,6 +50,8 @@ class CrossLangLink:
 
 
 class Backend(Protocol):
+    source: str  # provenance tag of the values this backend returns
+
     def get_views(self, title: str, lang: str, year: int) -> tuple[int, bool]:
         """Return (total, missing)."""
 
@@ -82,17 +85,17 @@ class FixtureBackend:
     Either path may be None (empty fixture).
     """
 
+    source = SOURCE_FIXTURE
+
     def __init__(self, views_file: str | Path | None, langlinks_file: str | Path | None = None):
         self.request_count = 0
         self._views: dict[tuple[str, str, int], int] = {}
         self._links: dict[tuple[str, str], str] = {}
         if views_file is not None:
-            for parts in _read_tsv(views_file, 4):
-                lang, title, year, total = parts
+            for lang, title, year, total in read_tsv(views_file, n_cols=4)[1]:
                 self._views[(lang, title, int(year))] = int(total)
         if langlinks_file is not None:
-            for parts in _read_tsv(langlinks_file, 3):
-                lang, title, title_en = parts
+            for lang, title, title_en in read_tsv(langlinks_file, n_cols=3)[1]:
                 self._links[(lang, title)] = title_en
 
     def get_views(self, title: str, lang: str, year: int) -> tuple[int, bool]:
@@ -107,22 +110,14 @@ class FixtureBackend:
         return self._links.get((lang, title))
 
 
-def _read_tsv(path: str | Path, n_cols: int):
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != n_cols:
-            raise ValueError(f"{path}:{lineno}: expected {n_cols} columns")
-        yield parts
-
-
 class LiveBackend:
     """Wikimedia API backend with retries and a shared rate limiter.
 
     The HTTP session is injectable so tests can run against a fake
     transport; by default a requests.Session is created lazily.
     """
+
+    source = SOURCE_LIVE
 
     def __init__(
         self,
@@ -150,6 +145,8 @@ class LiveBackend:
         return self._session
 
     def _get(self, url: str, params=None):
+        """GET and decode JSON; None on 404.  Transport errors, 5xx and
+        429 are retried; every other failure raises FetchError."""
         last_exc = None
         for attempt in range(self.retries):
             self.rate_limiter.wait()
@@ -161,10 +158,14 @@ class LiveBackend:
             else:
                 if resp.status_code == 404:
                     return None
-                if resp.status_code < 500:
-                    resp.raise_for_status()
-                    return resp.json()
+                if 200 <= resp.status_code < 300:
+                    try:
+                        return resp.json()
+                    except ValueError as exc:
+                        raise FetchError(f"malformed JSON from {url}") from exc
                 last_exc = FetchError(f"HTTP {resp.status_code} from {url}")
+                if resp.status_code != 429 and resp.status_code < 500:
+                    raise last_exc
             if attempt + 1 < self.retries:
                 self._sleep(self.backoff_base * 2**attempt)
         raise FetchError(f"request failed after {self.retries} attempts: {url}") from last_exc
@@ -233,7 +234,6 @@ class ViewClient:
     def __init__(self, backend: Backend, cache: ViewCache | None = None):
         self.backend = backend
         self.cache = cache
-        self.source = SOURCE_FIXTURE if isinstance(backend, FixtureBackend) else SOURCE_LIVE
 
     def fetch_views(self, title: str, lang: str, year: int) -> PageViewStat:
         if self.cache is not None:
@@ -247,7 +247,8 @@ class ViewClient:
         if self.cache is not None:
             self.cache.put("views", lang, title, year, {"total": total, "missing": missing})
         return PageViewStat(
-            title=title, lang=lang, year=year, total=total, source=self.source, missing=missing
+            title=title, lang=lang, year=year, total=total, source=self.backend.source,
+            missing=missing,
         )
 
     def resolve_english(self, title: str, lang: str) -> CrossLangLink:

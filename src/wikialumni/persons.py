@@ -27,7 +27,6 @@ _FOUR_DIGITS = re.compile(r"(?<!\d)\d{4}(?!\d)")
 class PersonPage:
     page: WikiPage
     birth_year: int | None
-    marker_hit: str
 
 
 def detect_person(page: WikiPage, dictionary: MarkerDictionary) -> str | None:
@@ -105,4 +104,4 @@ def load_person_file(path: str | Path, lang: str) -> PersonPage:
     )
     stem_year = path.stem.rsplit("_", 1)[1]
     birth_year = int(stem_year) if stem_year else None
-    return PersonPage(page=page, birth_year=birth_year, marker_hit="")
+    return PersonPage(page=page, birth_year=birth_year)

@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DictionaryError, RegistryError
+from .tsv import read_tsv
 
 _WS = re.compile(r"[ _]+")
+
+UNIVERSITY_COLUMNS = ["id", "canonical_name", "lang", "title"]
 
 
 def normalize_title(raw: str) -> str:
@@ -95,35 +98,23 @@ def load_registry(
     universities: dict[int, University] = {}
     names: dict[int, str] = {}
 
-    path = Path(universities_file)
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        expected = ["id", "canonical_name", "lang", "title"]
-        if header != expected:
+    _, rows = read_tsv(universities_file, headers=[UNIVERSITY_COLUMNS], error=RegistryError)
+    for uid_s, name, lang, title in rows:
+        uid = int(uid_s)
+        if uid in names and names[uid] != name:
             raise RegistryError(
-                f"{path}: expected header {expected}, got {header}"
+                f"{universities_file}: duplicate id {uid} with conflicting "
+                f"names {names[uid]!r} and {name!r}"
             )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise RegistryError(f"{path}:{lineno}: expected 4 columns")
-            uid_s, name, lang, title = parts
-            uid = int(uid_s)
-            if uid in names and names[uid] != name:
-                raise RegistryError(
-                    f"{path}:{lineno}: duplicate id {uid} with conflicting "
-                    f"names {names[uid]!r} and {name!r}"
-                )
-            names[uid] = name
-            uni = universities.setdefault(uid, University(uid, name))
-            norm = normalize_title(title)
-            if not norm:
-                raise RegistryError(f"{path}:{lineno}: empty title")
-            uni.titles.setdefault(lang, set()).add(norm)
-            uni.canonical_titles.setdefault(lang, norm)
+        names[uid] = name
+        uni = universities.setdefault(uid, University(uid, name))
+        norm = normalize_title(title)
+        if not norm:
+            raise RegistryError(
+                f"{universities_file}: empty title for university {uid} in lang {lang!r}"
+            )
+        uni.titles.setdefault(lang, set()).add(norm)
+        uni.canonical_titles.setdefault(lang, norm)
 
     for uni in universities.values():
         for lang, redirects in redirect_maps.items():

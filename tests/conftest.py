@@ -1,8 +1,11 @@
+import os
 import textwrap
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
 
+import wikialumni
 from wikialumni.alumni import AlumniRecord
 
 MW_NS = "http://www.mediawiki.org/xml/export-0.10/"
@@ -124,3 +127,11 @@ def write_langlinks_fixture(path, rows):
     lines = [f"{lang}\t{title}\t{en}" for lang, title, en in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def child_env():
+    """Environment for a child interpreter that imports the package
+    under test."""
+    src = str(Path(wikialumni.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}

@@ -116,7 +116,7 @@ def person(text, title="Meghan Markle", year=1981):
         title=title, lang="en", namespace=0, redirect_target=None,
         wikitext=text, page_id=10,
     )
-    return PersonPage(page, year, "born")
+    return PersonPage(page, year)
 
 
 def test_markle_sentence(registry):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wikialumni.alumni import AlumniRecord
 from wikialumni.analytics import (
+    _average_ranks,
     METHOD_PEARSON,
     METHOD_SPEARMAN,
     SCORE_EXTERNAL,
@@ -218,6 +219,18 @@ def test_spearman_handles_ties_with_average_ranks():
     rb = np.array([1.0, 2.0, 3.0])
     expected = np.corrcoef(ra, rb)[0, 1]
     assert math.isclose(correlate(a, b).coefficient, expected, abs_tol=1e-12)
+
+
+def oracle_average_ranks(values):
+    """By definition: a value's rank is the mean of the 1-based sorted
+    positions its tie group occupies, (#smaller + 1 + #smaller-or-equal) / 2."""
+    return [(sum(v < x for v in values) + 1 + sum(v <= x for v in values)) / 2 for x in values]
+
+
+@given(st.lists(st.integers(-3, 3) | st.floats(-1e6, 1e6), max_size=40))
+def test_average_ranks_match_definition(values):
+    ranks = _average_ranks(np.array(values, dtype=np.float64))
+    assert ranks.tolist() == oracle_average_ranks(values)
 
 
 def test_pearson_on_scores():

@@ -11,7 +11,7 @@ from conftest import make_dump_xml, write_dump
 
 
 def source(path, lang="en"):
-    return DumpSource(path=str(path), lang=lang, dump_date="2018-09-01")
+    return DumpSource(path=str(path), lang=lang)
 
 
 THREE_PAGES = [

@@ -115,8 +115,12 @@ class FakeResponse:
     def json(self):
         return self._payload
 
-    def raise_for_status(self):
-        pass
+
+class HtmlResponse(FakeResponse):
+    """A 200 whose body is an HTML error page, not JSON."""
+
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
 
 
 class FakeSession:
@@ -152,9 +156,19 @@ def test_live_404_is_missing():
 
 def test_live_retries_then_succeeds():
     payload = {"items": [{"views": 7}]}
-    backend = live_backend([FakeResponse(500), FakeResponse(200, payload)])
-    assert backend.get_views("Page", "en", 2017) == (7, False)
-    assert backend.request_count == 2
+    for status in (500, 429):
+        backend = live_backend([FakeResponse(status), FakeResponse(200, payload)])
+        assert backend.get_views("Page", "en", 2017) == (7, False)
+        assert backend.request_count == 2
+
+
+@pytest.mark.parametrize("response", [FakeResponse(403), HtmlResponse(200)], ids=["403", "html"])
+def test_live_client_error_flags_one_record(response):
+    backend = live_backend([response])
+    (out,) = enrich_records([rec("Person")], 2017, ViewClient(backend))
+    assert out.unresolved
+    assert out.views_total is None
+    assert backend.request_count == 1
 
 
 def test_live_exhausted_retries_raise():

@@ -150,7 +150,7 @@ def test_person_filename():
 
 def test_persist_and_load_roundtrip(tmp_path):
     p = page("He was born 1955. <&> special chars.", title="A <Person> & Co", page_id=42)
-    person = PersonPage(p, 1955, "born")
+    person = PersonPage(p, 1955)
     path = persist_person(person, tmp_path)
     assert path.name == "page_42_1955.xml"
     loaded = load_person_file(path, "en")
@@ -162,7 +162,7 @@ def test_persist_and_load_roundtrip(tmp_path):
 
 def test_persist_idempotent(tmp_path):
     p = page("born 1955.", page_id=3)
-    person = PersonPage(p, 1955, "born")
+    person = PersonPage(p, 1955)
     first = persist_person(person, tmp_path).read_bytes()
     second = persist_person(person, tmp_path).read_bytes()
     assert first == second
@@ -170,6 +170,6 @@ def test_persist_idempotent(tmp_path):
 
 def test_persist_empty_year(tmp_path):
     p = page("born sometime.", page_id=7)
-    path = persist_person(PersonPage(p, None, "born"), tmp_path)
+    path = persist_person(PersonPage(p, None), tmp_path)
     assert path.name == "page_7_.xml"
     assert load_person_file(path, "en").birth_year is None
