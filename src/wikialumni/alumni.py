@@ -8,7 +8,7 @@ trigger word contributes one record per university link it holds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -156,22 +156,17 @@ def write_dataset(
 
 def read_dataset(path: str | Path) -> list[AlumniRecord]:
     """Read a dataset file written by write_dataset (either schema)."""
-    header, rows = read_tsv(path, headers=[BASE_COLUMNS, ENRICHED_COLUMNS])
-    enriched = header == ENRICHED_COLUMNS
-    records = []
-    for parts in rows:
-        rec = AlumniRecord(
-            university_id=int(parts[0]),
-            university_name=parts[1],
-            person_link=parts[2],
-            birth_year=int(parts[3]) if parts[3] else None,
-            lang=parts[4],
-        )
-        if enriched:
-            rec = replace(
-                rec,
-                person_link_en=parts[5] or None,
-                views_total=int(parts[6]) if parts[6] else None,
-            )
-        records.append(rec)
-    return records
+    return read_tsv(path, headers=[BASE_COLUMNS, ENRICHED_COLUMNS], parse=_parse_record)[1]
+
+
+def _parse_record(parts: list[str]) -> AlumniRecord:
+    person_link_en, views_total = parts[5:] or ("", "")
+    return AlumniRecord(
+        university_id=int(parts[0]),
+        university_name=parts[1],
+        person_link=parts[2],
+        birth_year=int(parts[3]) if parts[3] else None,
+        lang=parts[4],
+        person_link_en=person_link_en or None,
+        views_total=int(views_total) if views_total else None,
+    )

@@ -255,9 +255,10 @@ def load_external_ranking(
     scores so that "sorted by score descending" means "best rank first".
     """
     _, rows = read_tsv(
-        mapping_file, headers=[["external_name", "university_id"]], error=ExternalRankingError
+        mapping_file, headers=[["external_name", "university_id"]], error=ExternalRankingError,
+        parse=lambda fields: (fields[0], int(fields[1])),
     )
-    mapping = {ext_name: int(uid) for ext_name, uid in rows}
+    mapping = dict(rows)
 
     header, rows = read_tsv(
         ranking_file, headers=[["name", "rank"], ["name", "score"]], error=ExternalRankingError

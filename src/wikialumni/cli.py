@@ -7,8 +7,11 @@ artifacts in the output directory.  Exit codes: 0 success, 1 partial
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import sys
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import click
@@ -25,7 +28,6 @@ DATASET_NAME = "dataset.tsv"
 ENRICHED_NAME = "dataset_enriched.tsv"
 EVIDENCE_NAME = "evidence.tsv"
 UNIVERSITY_VIEWS_NAME = "university_views.tsv"
-LOCK_NAME = ".lock"
 
 EVIDENCE_COLUMNS = [
     "university_id", "university_name", "person_link", "lang", "trigger", "sentence"
@@ -37,25 +39,20 @@ STATS_COLUMNS = [
 RANKING_COLUMNS = ["rank", "university_id", "university_name", "score"]
 
 
-class OutputLock:
-    """One subcommand at a time per output directory."""
-
-    def __init__(self, out_dir: Path):
-        self.path = out_dir / LOCK_NAME
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+@contextmanager
+def output_lock(out_dir: Path):
+    """One subcommand at a time per output directory: an flock on the
+    directory itself, which the kernel releases when the holder dies."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(out_dir, os.O_RDONLY)
+    try:
         try:
-            self.path.touch(exist_ok=False)
-        except FileExistsError:
-            raise WikiAlumniError(
-                f"output dir is locked by another run ({self.path}); "
-                "remove the lock file if that run is dead"
-            )
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise WikiAlumniError(f"output dir is locked by another run ({out_dir})") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _provenance_lines(config: PipelineConfig) -> list[str]:
@@ -72,7 +69,10 @@ def _load_manifest(config: PipelineConfig) -> dict | None:
     path = config.output_dir / MANIFEST_NAME
     if not path.exists():
         return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _manifest_complete(manifest: dict | None, config: PipelineConfig) -> bool:
@@ -94,50 +94,49 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
         echo("ingest: manifest complete, nothing to do")
         return 0
 
-    with OutputLock(out):
-        (out / "redirects").mkdir(parents=True, exist_ok=True)
-        languages: dict[str, dict] = {}
-        failed = False
-        for lang_cfg in config.languages:
-            person_dir = out / "persons" / lang_cfg.code
-            person_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
-                source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
-                n_pages = n_persons = 0
-                redirect_pages = []
-                for page in stream_pages(source):
-                    n_pages += 1
-                    if page.is_redirect:
-                        redirect_pages.append(page)
-                        continue
-                    if page.namespace != 0:
-                        continue
-                    marker = persons.detect_person(page, dictionary)
-                    if marker is None:
-                        continue
-                    year = persons.extract_birth_year(page)
-                    persons.persist_person(persons.PersonPage(page, year), person_dir)
-                    n_persons += 1
-                resolved, unresolvable = collect_redirects(redirect_pages)
-                write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
-                languages[lang_cfg.code] = {
-                    "status": "ok",
-                    "pages": n_pages,
-                    "persons": n_persons,
-                    "redirects": len(resolved),
-                    "unresolvable_redirects": sorted(unresolvable),
-                    "dump_date": lang_cfg.dump_date,
-                }
-                echo(f"ingest: {lang_cfg.code}: {n_pages} pages, {n_persons} persons")
-            except WikiAlumniError as exc:
-                languages[lang_cfg.code] = {"status": "error", "error": str(exc)}
-                echo(f"ingest: {lang_cfg.code}: FAILED: {exc}", err=True)
-                failed = True
-        manifest = {"languages": languages}
-        write_text_atomic(
-            out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+    (out / "redirects").mkdir(parents=True, exist_ok=True)
+    languages: dict[str, dict] = {}
+    failed = False
+    for lang_cfg in config.languages:
+        person_dir = out / "persons" / lang_cfg.code
+        person_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
+            source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
+            n_pages = n_persons = 0
+            redirect_pages = []
+            for page in stream_pages(source):
+                n_pages += 1
+                if page.is_redirect:
+                    redirect_pages.append(page)
+                    continue
+                if page.namespace != 0:
+                    continue
+                marker = persons.detect_person(page, dictionary)
+                if marker is None:
+                    continue
+                year = persons.extract_birth_year(page)
+                persons.persist_person(persons.PersonPage(page, year), person_dir)
+                n_persons += 1
+            resolved, unresolvable = collect_redirects(redirect_pages)
+            write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
+            languages[lang_cfg.code] = {
+                "status": "ok",
+                "pages": n_pages,
+                "persons": n_persons,
+                "redirects": len(resolved),
+                "unresolvable_redirects": sorted(unresolvable),
+                "dump_date": lang_cfg.dump_date,
+            }
+            echo(f"ingest: {lang_cfg.code}: {n_pages} pages, {n_persons} persons")
+        except WikiAlumniError as exc:
+            languages[lang_cfg.code] = {"status": "error", "error": str(exc)}
+            echo(f"ingest: {lang_cfg.code}: FAILED: {exc}", err=True)
+            failed = True
+    manifest = {"languages": languages}
+    write_text_atomic(
+        out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
     return 1 if failed else 0
 
 
@@ -157,28 +156,27 @@ def run_extract(config: PipelineConfig, echo=click.echo) -> int:
         raise ConfigError(
             "no complete ingest manifest found; run 'wikialumni ingest' first"
         )
-    with OutputLock(out):
-        registry = load_registry(config.universities_file, _load_redirect_maps(config))
-        records: list[alumni.AlumniRecord] = []
-        n_corrupt = 0
-        for lang_cfg in config.languages:
-            dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
-            person_dir = out / "persons" / lang_cfg.code
-            for path in sorted(person_dir.glob("page_*.xml")):
-                try:
-                    person = persons.load_person_file(path, lang_cfg.code)
-                except Exception as exc:
-                    echo(f"extract: skipping corrupted {path.name}: {exc}", err=True)
-                    n_corrupt += 1
-                    continue
-                records.extend(alumni.match_alumni(person, registry, dictionary))
-        records = alumni.merge_records(records)
-        alumni.write_dataset(records, out / DATASET_NAME)
-        _write_evidence(records, out / EVIDENCE_NAME)
-        echo(
-            f"extract: {len(records)} records"
-            + (f", {n_corrupt} corrupted person files skipped" if n_corrupt else "")
-        )
+    registry = load_registry(config.universities_file, _load_redirect_maps(config))
+    records: list[alumni.AlumniRecord] = []
+    n_corrupt = 0
+    for lang_cfg in config.languages:
+        dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
+        person_dir = out / "persons" / lang_cfg.code
+        for path in sorted(person_dir.glob("page_*.xml")):
+            try:
+                person = persons.load_person_file(path, lang_cfg.code)
+            except Exception as exc:
+                echo(f"extract: skipping corrupted {path.name}: {exc}", err=True)
+                n_corrupt += 1
+                continue
+            records.extend(alumni.match_alumni(person, registry, dictionary))
+    records = alumni.merge_records(records)
+    alumni.write_dataset(records, out / DATASET_NAME)
+    _write_evidence(records, out / EVIDENCE_NAME)
+    echo(
+        f"extract: {len(records)} records"
+        + (f", {n_corrupt} corrupted person files skipped" if n_corrupt else "")
+    )
     return 1 if n_corrupt else 0
 
 
@@ -191,24 +189,20 @@ def _write_evidence(records, path: Path) -> None:
     write_tsv(path, EVIDENCE_COLUMNS, rows)
 
 
-def _read_evidence(path: Path) -> list[alumni.AlumniRecord]:
-    _, rows = read_tsv(path, headers=[EVIDENCE_COLUMNS])
-    return [
-        alumni.AlumniRecord(
-            university_id=int(uid),
-            university_name=name,
-            person_link=person,
-            birth_year=None,
-            lang=lang,
-            trigger=trigger,
-            sentence=sentence,
-        )
-        for uid, name, person, lang, trigger, sentence in rows
-    ]
+def _evidence_record(fields: list[str]) -> alumni.AlumniRecord:
+    uid, name, person, lang, trigger, sentence = fields
+    return alumni.AlumniRecord(
+        university_id=int(uid),
+        university_name=name,
+        person_link=person,
+        birth_year=None,
+        lang=lang,
+        trigger=trigger,
+        sentence=sentence,
+    )
 
 
 def build_view_client(config: PipelineConfig) -> pageviews.ViewClient:
-    cache = pageviews.ViewCache(config.cache_dir)
     if config.pageview_mode == MODE_FIXTURE:
         backend = pageviews.FixtureBackend(config.fixture_views, config.fixture_langlinks)
     else:
@@ -216,7 +210,7 @@ def build_view_client(config: PipelineConfig) -> pageviews.ViewClient:
             rate_limiter=pageviews.RateLimiter(config.rate_limit),
             agent=config.agent,
         )
-    return pageviews.ViewClient(backend, cache)
+    return pageviews.ViewClient(backend, pageviews.ViewCache(config.cache_dir))
 
 
 def run_views(config: PipelineConfig, echo=click.echo) -> int:
@@ -226,8 +220,8 @@ def run_views(config: PipelineConfig, echo=click.echo) -> int:
     dataset_path = out / DATASET_NAME
     if not dataset_path.exists():
         raise ConfigError("no dataset file found; run 'wikialumni extract' first")
-    with OutputLock(out):
-        client = build_view_client(config)
+    client = build_view_client(config)
+    with closing(client.cache):
         records = alumni.read_dataset(dataset_path)
         enriched = pageviews.enrich_records(records, config.analysis_year, client)
         alumni.write_dataset(enriched, out / ENRICHED_NAME, enriched=True)
@@ -314,8 +308,9 @@ def _write_ranking(ranking, registry, path: Path, provenance: list[str]) -> None
 
 
 def _write_alumni_vs_university(records, uni_views_path, registry, reports, provenance):
-    _, rows = read_tsv(uni_views_path, headers=[UNIVERSITY_VIEWS_COLUMNS])
-    totals = {int(uid): int(views) for uid, _name, _year, views in rows}
+    totals = dict(read_tsv(
+        uni_views_path, headers=[UNIVERSITY_VIEWS_COLUMNS], parse=lambda f: (int(f[0]), int(f[3]))
+    )[1])
     names = {uid: registry.name_of(uid) for uid in totals}
     uni_ranking = analytics.ranking_from_scores(
         {u: float(v) for u, v in totals.items()},
@@ -342,7 +337,7 @@ def run_audit(config: PipelineConfig, echo=click.echo) -> int:
     evidence_path = out / EVIDENCE_NAME
     if not evidence_path.exists():
         raise ConfigError("no evidence file found; run 'wikialumni extract' first")
-    records = _read_evidence(evidence_path)
+    records = read_tsv(evidence_path, headers=[EVIDENCE_COLUMNS], parse=_evidence_record)[1]
     sample = analytics.audit_sample(records, config.audit_rate, config.audit_seed)
     path = analytics.write_audit_file(sample, out / "audit_sample.tsv")
     echo(f"audit: sampled {len(sample)}/{len(records)} records into {path}")
@@ -352,11 +347,12 @@ def run_audit(config: PipelineConfig, echo=click.echo) -> int:
 def _run(step, config_path: str) -> None:
     try:
         config = load_config(config_path)
-        code = step(config)
+        with output_lock(config.output_dir):
+            code = step(config)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    except WikiAlumniError as exc:
+    except (WikiAlumniError, ValueError) as exc:  # ValueError: a malformed artifact
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(code)

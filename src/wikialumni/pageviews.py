@@ -3,13 +3,14 @@
 Two backends share one client interface: a live backend talking to the
 Wikimedia REST/action APIs (rate limited, retried) and a hermetic
 fixture backend reading local tab-separated files.  All lookups go
-through an on-disk cache keyed by (lang, title, year); with a warm cache
-a re-run issues zero backend requests.
+through one SQLite cache keyed by backend, agent, kind, lang, title and
+year; with a warm cache a re-run issues zero backend requests.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import time
 import urllib.parse
 from dataclasses import dataclass, replace
@@ -42,15 +43,9 @@ class PageViewStat:
     missing: bool = False  # no data for the page (404-equivalent)
 
 
-@dataclass(frozen=True)
-class CrossLangLink:
-    title_national: str
-    lang_national: str
-    title_en: str | None
-
-
 class Backend(Protocol):
     source: str  # provenance tag of the values this backend returns
+    agent: str  # pageview agent type; part of the cache key with source
 
     def get_views(self, title: str, lang: str, year: int) -> tuple[int, bool]:
         """Return (total, missing)."""
@@ -86,14 +81,16 @@ class FixtureBackend:
     """
 
     source = SOURCE_FIXTURE
+    agent = ""  # fixture totals do not depend on an agent
 
     def __init__(self, views_file: str | Path | None, langlinks_file: str | Path | None = None):
         self.request_count = 0
         self._views: dict[tuple[str, str, int], int] = {}
         self._links: dict[tuple[str, str], str] = {}
         if views_file is not None:
-            for lang, title, year, total in read_tsv(views_file, n_cols=4)[1]:
-                self._views[(lang, title, int(year))] = int(total)
+            rows = read_tsv(views_file, n_cols=4, parse=lambda f: (*f[:2], int(f[2]), int(f[3])))[1]
+            for lang, title, year, total in rows:
+                self._views[(lang, title, year)] = total
         if langlinks_file is not None:
             for lang, title, title_en in read_tsv(langlinks_file, n_cols=3)[1]:
                 self._links[(lang, title)] = title_en
@@ -204,28 +201,34 @@ class LiveBackend:
 
 
 class ViewCache:
-    """On-disk key-value cache, one JSON file per entry."""
+    """Lookup results in one SQLite table, cache_dir/pageviews.sqlite.  Each
+    put commits at once (autocommit, WAL): another ViewCache on the same
+    directory sees it, and a killed run keeps what it committed."""
 
     def __init__(self, cache_dir: str | Path):
-        self.dir = Path(cache_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        self._db = sqlite3.connect(Path(cache_dir) / "pageviews.sqlite", isolation_level=None)
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS lookups (backend TEXT, kind TEXT, lang TEXT, title TEXT,"
+            " year INTEGER, value TEXT NOT NULL, PRIMARY KEY (backend, kind, lang, title, year))"
+            " WITHOUT ROWID"
+        )
 
-    def _path(self, kind: str, lang: str, title: str, year: int | None) -> Path:
-        quoted = urllib.parse.quote(title, safe="")
-        suffix = f"__{year}" if year is not None else ""
-        return self.dir / f"{kind}__{lang}__{quoted}{suffix}.json"
+    def get(self, key: tuple[str, str, str, str, int]) -> str | None:
+        """The value under (backend, kind, lang, title, year), or None."""
+        row = self._db.execute(
+            "SELECT value FROM lookups WHERE (backend, kind, lang, title, year) = (?, ?, ?, ?, ?)",
+            key,
+        ).fetchone()
+        return None if row is None else row[0]
 
-    def get(self, kind: str, lang: str, title: str, year: int | None = None):
-        path = self._path(kind, lang, title, year)
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))
-        return None
+    def put(self, key: tuple[str, str, str, str, int], value: str) -> None:
+        self._db.execute("INSERT OR REPLACE INTO lookups VALUES (?, ?, ?, ?, ?, ?)", (*key, value))
 
-    def put(self, kind: str, lang: str, title: str, year: int | None, value) -> None:
-        path = self._path(kind, lang, title, year)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(value), encoding="utf-8")
-        tmp.replace(path)
+    def close(self) -> None:
+        self._db.close()
 
 
 class ViewClient:
@@ -235,33 +238,33 @@ class ViewClient:
         self.backend = backend
         self.cache = cache
 
-    def fetch_views(self, title: str, lang: str, year: int) -> PageViewStat:
-        if self.cache is not None:
-            hit = self.cache.get("views", lang, title, year)
-            if hit is not None:
-                return PageViewStat(
-                    title=title, lang=lang, year=year,
-                    total=hit["total"], source=SOURCE_CACHE, missing=hit["missing"],
-                )
-        total, missing = self.backend.get_views(title, lang, year)
-        if self.cache is not None:
-            self.cache.put("views", lang, title, year, {"total": total, "missing": missing})
-        return PageViewStat(
-            title=title, lang=lang, year=year, total=total, source=self.backend.source,
-            missing=missing,
-        )
+    def _lookup(self, kind: str, lang: str, title: str, year: int, call):
+        """(value, source) of one lookup: the value cached for this backend if
+        any, else call()'s, cached as JSON text so a cached None is a hit too.
+        Language links use year 0, since a NULL key column never matches."""
+        if self.cache is None:
+            return call(), self.backend.source
+        key = (f"{self.backend.source}:{self.backend.agent}", kind, lang, title, year)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return json.loads(hit), SOURCE_CACHE
+        value = call()
+        self.cache.put(key, json.dumps(value))
+        return value, self.backend.source
 
-    def resolve_english(self, title: str, lang: str) -> CrossLangLink:
+    def fetch_views(self, title: str, lang: str, year: int) -> PageViewStat:
+        (total, missing), source = self._lookup(
+            "views", lang, title, year, lambda: self.backend.get_views(title, lang, year)
+        )
+        return PageViewStat(title, lang, year, total, source, missing)
+
+    def resolve_english(self, title: str, lang: str) -> str | None:
+        """The English counterpart's title, or None if there is none."""
         if lang == "en":
             raise ValueError("resolve_english is for non-English records")
-        if self.cache is not None:
-            hit = self.cache.get("enlink", lang, title)
-            if hit is not None:
-                return CrossLangLink(title, lang, hit["title_en"])
-        title_en = self.backend.get_english_title(title, lang)
-        if self.cache is not None:
-            self.cache.put("enlink", lang, title, None, {"title_en": title_en})
-        return CrossLangLink(title, lang, title_en)
+        return self._lookup(
+            "enlink", lang, title, 0, lambda: self.backend.get_english_title(title, lang)
+        )[0]
 
 
 def enrich_records(
@@ -277,7 +280,7 @@ def enrich_records(
         try:
             title_en = rec.person_link_en
             if rec.lang != "en" and title_en is None:
-                title_en = client.resolve_english(rec.person_link, rec.lang).title_en
+                title_en = client.resolve_english(rec.person_link, rec.lang)
             total = client.fetch_views(rec.person_link, rec.lang, year).total
             if rec.lang != "en" and title_en and title_en != rec.person_link:
                 total += client.fetch_views(title_en, "en", year).total

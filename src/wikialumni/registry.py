@@ -98,9 +98,9 @@ def load_registry(
     universities: dict[int, University] = {}
     names: dict[int, str] = {}
 
-    _, rows = read_tsv(universities_file, headers=[UNIVERSITY_COLUMNS], error=RegistryError)
-    for uid_s, name, lang, title in rows:
-        uid = int(uid_s)
+    _, rows = read_tsv(universities_file, headers=[UNIVERSITY_COLUMNS], error=RegistryError,
+                       parse=lambda fields: (int(fields[0]), *fields[1:]))
+    for uid, name, lang, title in rows:
         if uid in names and names[uid] != name:
             raise RegistryError(
                 f"{universities_file}: duplicate id {uid} with conflicting "

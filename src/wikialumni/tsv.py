@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def write_text_atomic(path: str | Path, text: str) -> Path:
@@ -51,13 +51,15 @@ def read_tsv(
     headers: Sequence[list[str]] | None = None,
     n_cols: int | None = None,
     error: type[Exception] = ValueError,
-) -> tuple[list[str] | None, list[list[str]]]:
+    parse: Callable[[list[str]], object] = lambda fields: fields,
+) -> tuple[list[str] | None, list]:
     """Read a TSV file into (header, rows), skipping blank and '#' lines.
 
     With headers (a list of header rows), the first row must equal one
     of them; it is returned as header and fixes the column count.
-    Otherwise header is None and n_cols, if given, fixes it.  A mismatch
-    raises error with path:lineno.
+    Otherwise header is None and n_cols, if given, fixes it.  Each row is
+    parse(fields).  A mismatch, or a ValueError from parse, raises error
+    with path:lineno.
     """
     path = Path(path)
     header: list[str] | None = None
@@ -76,7 +78,10 @@ def read_tsv(
             elif n_cols is not None and len(fields) != n_cols:
                 raise error(f"{path}:{lineno}: expected {n_cols} columns, got {len(fields)}")
             else:
-                rows.append(fields)
+                try:
+                    rows.append(parse(fields))
+                except ValueError as exc:
+                    raise error(f"{path}:{lineno}: {exc}") from exc
     if headers is not None and header is None:
         raise error(f"{path}: no header row; expected one of {headers}")
     return header, rows

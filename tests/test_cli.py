@@ -1,4 +1,9 @@
+import fcntl
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -19,6 +24,7 @@ from wikialumni.cli import (
 from wikialumni.config import load_config
 from wikialumni.errors import ConfigError
 
+from conftest import child_env
 from mini_corpus import (
     EXPECTED_DATASET,
     EXPECTED_UNIVERSITY_VIEWS,
@@ -199,11 +205,58 @@ def test_cli_exit_codes(project):
 
 def test_output_lock_blocks_concurrent_runs(config):
     (config.output_dir).mkdir(parents=True, exist_ok=True)
-    (config.output_dir / ".lock").touch()
-    runner = CliRunner()
-    result = runner.invoke(main, ["ingest", "-c", str(config.output_dir.parent / "config.yaml")])
+    fd = os.open(config.output_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        runner = CliRunner()
+        result = runner.invoke(main, ["ingest", "-c", str(config.output_dir.parent / "config.yaml")])
+    finally:
+        os.close(fd)
     assert result.exit_code == 1
     assert "locked" in result.output
+
+
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from wikialumni.cli import output_lock
+with output_lock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def test_killed_run_leaves_no_lock(project, config):
+    child = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(config.output_dir)],
+        env=child_env(), stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline().strip() == "locked"
+        held = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+        assert held.exit_code == 1 and "locked" in held.output
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 0, result.output
+    assert [p for p in config.output_dir.iterdir() if "lock" in p.name] == []
+
+
+@pytest.mark.parametrize(
+    "command, name, content",
+    [("audit", "evidence.tsv", "bogus\n"), ("extract", MANIFEST_NAME, "{")],
+)
+def test_malformed_artifact_is_one_error_line(project, config, command, name, content):
+    config.output_dir.mkdir(parents=True)
+    (config.output_dir / name).write_text(content, encoding="utf-8")
+    result = CliRunner().invoke(main, [command, "-c", str(project)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and name in line
 
 
 def test_ingest_isolates_per_language_failure(project):

@@ -5,6 +5,7 @@ from wikialumni.errors import FetchError
 from wikialumni.pageviews import (
     SOURCE_CACHE,
     SOURCE_FIXTURE,
+    SOURCE_LIVE,
     FixtureBackend,
     LiveBackend,
     RateLimiter,
@@ -77,18 +78,51 @@ def test_resolve_english_fixture_and_cache(tmp_path):
     )
     backend = FixtureBackend(None, links)
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
-    link = client.resolve_english("Путин, Владимир Владимирович", "ru")
-    assert link.title_en == "Vladimir Putin"
+    assert client.resolve_english("Путин, Владимир Владимирович", "ru") == "Vladimir Putin"
     count = backend.request_count
     again = client.resolve_english("Путин, Владимир Владимирович", "ru")
-    assert again.title_en == "Vladimir Putin"
+    assert again == "Vladimir Putin"
     assert backend.request_count == count
 
 
 def test_resolve_english_no_counterpart(tmp_path):
     backend = FixtureBackend(None, write_langlinks_fixture(tmp_path / "l.tsv", []))
-    link = ViewClient(backend).resolve_english("Неизвестный", "ru")
-    assert link.title_en is None
+    assert ViewClient(backend).resolve_english("Неизвестный", "ru") is None
+
+
+def test_cached_no_counterpart_is_a_hit(tmp_path):
+    backend = FixtureBackend(None, write_langlinks_fixture(tmp_path / "l.tsv", []))
+    client = ViewClient(backend, ViewCache(tmp_path / "cache"))
+    assert client.resolve_english("Неизвестный", "ru") is None
+    count = backend.request_count
+    assert client.resolve_english("Неизвестный", "ru") is None
+    assert backend.request_count == count
+
+
+LONG_TITLE = "Московский государственный университет имени М. В. Ломоносова"
+
+
+def test_cache_takes_titles_too_long_for_a_file_name(tmp_path):
+    views = write_views_fixture(tmp_path / "v.tsv", [("ru", LONG_TITLE, 2017, 42)])
+    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    assert client.fetch_views(LONG_TITLE, "ru", 2017).total == 42
+    assert client.fetch_views(LONG_TITLE, "ru", 2017).source == SOURCE_CACHE
+    registry = load_registry(
+        write_universities_file(tmp_path / "u.tsv", [(1, "MSU", "ru", LONG_TITLE)])
+    )
+    fresh = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache2"))
+    assert university_views(registry, 2017, fresh) == {1: 42}
+
+
+def test_second_cache_reads_a_put_before_the_first_closes(tmp_path):
+    first = ViewCache(tmp_path / "cache")
+    key = ("fixture:", "views", "en", "A", 2017)
+    first.put(key, "[5, false]")
+    second = ViewCache(tmp_path / "cache")
+    assert second.get(key) == "[5, false]"
+    assert second.get(("live_api:all-agents", "views", "en", "A", 2017)) is None
+    first.close()
+    second.close()
 
 
 def test_rate_limiter_spacing():
@@ -133,12 +167,13 @@ class FakeSession:
         return self.responses.pop(0)
 
 
-def live_backend(responses, retries=3):
+def live_backend(responses, retries=3, agent="all-agents"):
     return LiveBackend(
         rate_limiter=RateLimiter(0),
         session=FakeSession(responses),
         retries=retries,
         backoff_base=0.0,
+        agent=agent,
         sleep=lambda _t: None,
     )
 
@@ -169,6 +204,28 @@ def test_live_client_error_flags_one_record(response):
     assert out.unresolved
     assert out.views_total is None
     assert backend.request_count == 1
+
+
+def views_payload(n):
+    return {"items": [{"views": n}]}
+
+
+def test_fixture_filled_cache_is_not_served_to_a_live_run(tmp_path):
+    views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
+    ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    backend = live_backend([FakeResponse(200, views_payload(7))])
+    stat = ViewClient(backend, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    assert (stat.total, stat.source) == (7, SOURCE_LIVE)
+    assert backend.request_count == 1
+
+
+def test_live_agents_do_not_share_cache_entries(tmp_path):
+    users = live_backend([FakeResponse(200, views_payload(3))], agent="user")
+    ViewClient(users, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    every = live_backend([FakeResponse(200, views_payload(8))])
+    stat = ViewClient(every, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    assert (stat.total, stat.source) == (8, SOURCE_LIVE)
+    assert every.request_count == 1
 
 
 def test_live_exhausted_retries_raise():

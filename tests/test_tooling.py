@@ -1,5 +1,6 @@
 """Guards on the package's structure: every TSV parse and artifact write
-goes through wikialumni.tsv, and the CLI imports no heavy dependency."""
+goes through wikialumni.tsv, the view cache is one SQLite file, and the
+CLI imports no heavy dependency."""
 
 import ast
 import subprocess
@@ -7,14 +8,17 @@ import sys
 from pathlib import Path
 
 import wikialumni
+from wikialumni.cli import run_extract, run_ingest, run_views
+from wikialumni.config import load_config
 
 from conftest import child_env
+from mini_corpus import build_mini_project
 
 PACKAGE = Path(wikialumni.__file__).parent
 
 # (module, enclosing function) allowed to write or split files directly:
-# per-person XML files and the view cache have formats of their own.
-ALLOWED = {("persons", "persist_person"), ("pageviews", "ViewCache.put")}
+# per-person XML files have a format of their own.
+ALLOWED = {("persons", "persist_person")}
 
 
 def _is_artifact_io(call: ast.Call) -> bool:
@@ -68,6 +72,13 @@ def test_tsv_parsing_and_artifact_writes_only_in_tsv_module():
             if (module, site) not in ALLOWED:
                 offenders.append(f"{module}.{site or '<module>'}")
     assert offenders == []
+
+
+def test_view_cache_is_one_database_file(tmp_path):
+    config = load_config(build_mini_project(tmp_path / "proj"))
+    for stage in (run_ingest, run_extract, run_views):
+        assert stage(config, echo=lambda *a, **k: None) == 0
+    assert sorted(p.name for p in config.cache_dir.iterdir()) == ["pageviews.sqlite"]
 
 
 def test_cli_import_leaves_out_scipy():
