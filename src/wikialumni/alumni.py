@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,32 +47,30 @@ class Sentence:
     links: tuple[str, ...]
 
 
+_SPLIT_TOKEN = re.compile(r"\[\[|\]\]|\.")
+
+
 def split_sentences(wikitext: str) -> list[Sentence]:
     """Split at full stops outside [[...]]; each sentence carries its
-    link targets in order of appearance."""
+    link targets in order of appearance.  A ']]' with no open link is
+    plain text."""
     sentences: list[str] = []
     depth = 0
     start = 0
-    i = 0
-    n = len(wikitext)
-    while i < n:
-        two = wikitext[i : i + 2]
-        if two == "[[":
+    for token in _SPLIT_TOKEN.finditer(wikitext):
+        kind = token.group()
+        if kind == "[[":
             depth += 1
-            i += 2
-            continue
-        if two == "]]" and depth > 0:
-            depth -= 1
-            i += 2
-            continue
-        if wikitext[i] == "." and depth == 0:
-            sentences.append(wikitext[start : i + 1])
-            start = i + 1
-        i += 1
-    if start < n:
-        tail = wikitext[start:]
-        if tail.strip():
-            sentences.append(tail)
+        elif kind == "]]":
+            if depth > 0:
+                depth -= 1
+        elif depth == 0:
+            end = token.end()
+            sentences.append(wikitext[start:end])
+            start = end
+    tail = wikitext[start:]
+    if tail.strip():
+        sentences.append(tail)
     if not sentences and wikitext:
         sentences.append(wikitext)
 
@@ -82,14 +81,28 @@ def split_sentences(wikitext: str) -> list[Sentence]:
     return out
 
 
-def _trigger_pattern(phrase: str) -> re.Pattern[str]:
-    return re.compile(r"(?<!\w)" + re.escape(phrase) + r"(?!\w)", re.IGNORECASE)
+@lru_cache(maxsize=64)
+def _trigger_patterns(
+    phrases: tuple[str, ...],
+) -> tuple[re.Pattern[str], tuple[tuple[str, re.Pattern[str]], ...]]:
+    """One alternation over all phrases, and one pattern per phrase.
+
+    The alternation matches exactly when some phrase's own pattern does:
+    at each position it tries every phrase before moving on."""
+    def bounded(body: str) -> re.Pattern[str]:
+        return re.compile(r"(?<!\w)(?:" + body + r")(?!\w)", re.IGNORECASE)
+
+    each = tuple((phrase, bounded(re.escape(phrase))) for phrase in phrases)
+    return bounded("|".join(re.escape(phrase) for phrase in phrases)), each
 
 
 def find_trigger(sentence: str, dictionary: MarkerDictionary) -> str | None:
     """First trigger phrase (dictionary order) present at a word boundary."""
-    for phrase in dictionary.trigger_words:
-        if _trigger_pattern(phrase).search(sentence):
+    any_phrase, each = _trigger_patterns(dictionary.trigger_words)
+    if any_phrase.search(sentence) is None:
+        return None
+    for phrase, pattern in each:
+        if pattern.search(sentence):
             return phrase
     return None
 

@@ -7,6 +7,7 @@ default method; Pearson on raw scores is available behind a flag.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,7 +262,8 @@ def load_external_ranking(
     mapping = dict(rows)
 
     header, rows = read_tsv(
-        ranking_file, headers=[["name", "rank"], ["name", "score"]], error=ExternalRankingError
+        ranking_file, headers=[["name", "rank"], ["name", "score"]], error=ExternalRankingError,
+        parse=lambda fields: (fields[0], _finite(fields[1])),
     )
     is_rank = header[1] == "rank"
     scores: dict[int, float] = {}
@@ -272,7 +274,7 @@ def load_external_ranking(
         if uid is None or uid not in registry.universities:
             unmapped.append(ext_name)
             continue
-        scores[uid] = -float(value) if is_rank else float(value)
+        scores[uid] = -value if is_rank else value
         names[uid] = registry.name_of(uid)
     if rows and len(unmapped) / len(rows) > max_unmapped_fraction:
         raise ExternalRankingError(
@@ -281,6 +283,13 @@ def load_external_ranking(
         )
     ranking = ranking_from_scores(scores, SCORE_EXTERNAL, names, name=name)
     return ranking, unmapped
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def audit_sample(

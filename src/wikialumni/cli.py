@@ -104,11 +104,11 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
             dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
             source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
             n_pages = n_persons = 0
-            redirect_pages = []
+            redirects = []
             for page in stream_pages(source):
                 n_pages += 1
                 if page.is_redirect:
-                    redirect_pages.append(page)
+                    redirects.append((page.title, page.redirect_target))
                     continue
                 if page.namespace != 0:
                     continue
@@ -118,7 +118,7 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
                 year = persons.extract_birth_year(page)
                 persons.persist_person(persons.PersonPage(page, year), person_dir)
                 n_persons += 1
-            resolved, unresolvable = collect_redirects(redirect_pages)
+            resolved, unresolvable = collect_redirects(redirects)
             write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
             languages[lang_cfg.code] = {
                 "status": "ok",

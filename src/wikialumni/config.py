@@ -83,6 +83,17 @@ def _filter_from_dict(raw: dict) -> NamedFilter:
     return NamedFilter(name=name, spec=spec)
 
 
+def _number(kind: type, key: str, value):
+    """kind(value), or a ConfigError that names the key."""
+    try:
+        if isinstance(value, bool):  # YAML true/false; int(True) would read as 1
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
@@ -123,7 +134,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     if mode not in (MODE_LIVE, MODE_FIXTURE):
         raise ConfigError(f"pageviews.mode must be live or fixture, got {mode!r}")
 
-    year = int(raw.get("analysis_year", 2017))
+    year = _number(int, "analysis_year", raw.get("analysis_year", 2017))
     if mode == MODE_LIVE and year < PAGEVIEW_API_FLOOR_YEAR:
         raise ConfigError(
             f"analysis_year {year} predates the pageview service "
@@ -136,7 +147,10 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     cache_dir = os.environ.get(ENV_CACHE_DIR) or raw.get("cache_dir", "cache")
     rate_env = os.environ.get(ENV_RATE_LIMIT)
-    rate_limit = float(rate_env) if rate_env else float(pv.get("rate_limit", 1.0))
+    rate_limit = (
+        _number(float, ENV_RATE_LIMIT, rate_env) if rate_env
+        else _number(float, "pageviews.rate_limit", pv.get("rate_limit", 1.0))
+    )
 
     externals = tuple(
         ExternalRankingConfig(
@@ -163,8 +177,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         correlation_method=method,
         filters=tuple(_filter_from_dict(f) for f in raw.get("filters", [])),
         external_rankings=externals,
-        audit_rate=float(audit.get("rate", 0.05)),
-        audit_seed=int(audit.get("seed", 0)),
+        audit_rate=_number(float, "audit.rate", audit.get("rate", 0.05)),
+        audit_seed=_number(int, "audit.seed", audit.get("seed", 0)),
         config_hash=hashlib.sha256(raw_bytes).hexdigest()[:16],
     )
 

@@ -99,6 +99,7 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
     text = ""
     in_revision = False
 
+    root = None  # the <mediawiki> element; every finished page is cleared out of it
     parser = etree.iterparse(stream, events=("start", "end"))
     while True:
         try:
@@ -119,6 +120,8 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
 
         tag = _localname(elem.tag)
         if event == "start":
+            if root is None:
+                root = elem
             if tag == "page":
                 title, page_id, ns, redirect, text = "", -1, 0, None, ""
                 in_revision = False
@@ -148,7 +151,7 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
                 wikitext=text,
                 page_id=page_id,
             )
-            elem.clear()
+            root.clear()
 
 
 def _byte_offset(stream: IO[bytes], exc: etree.ParseError) -> int | str:
@@ -159,19 +162,17 @@ def _byte_offset(stream: IO[bytes], exc: etree.ParseError) -> int | str:
 
 
 def collect_redirects(
-    pages: Iterable[WikiPage], max_hops: int = 16
+    redirects: Iterable[tuple[str, str]], max_hops: int = 16
 ) -> tuple[dict[str, str], set[str]]:
     """Resolve redirect titles to their final non-redirect target.
 
+    redirects holds one (title, redirect target) pair per redirect page.
     Returns (mapping, unresolvable).  The mapping is the transitive
     closure; titles on a redirect cycle or on chains longer than
     max_hops are reported in the unresolvable set and kept out of the
     mapping.
     """
-    direct: dict[str, str] = {}
-    for page in pages:
-        if page.redirect_target is not None:
-            direct[page.title] = page.redirect_target
+    direct = dict(redirects)
 
     resolved: dict[str, str] = {}
     unresolvable: set[str] = set()

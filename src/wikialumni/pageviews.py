@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 from .alumni import AlumniRecord
-from .errors import FetchError
+from .errors import FetchError, WikiAlumniError
 from .registry import Registry
 from .tsv import read_tsv
 
@@ -207,14 +207,21 @@ class ViewCache:
 
     def __init__(self, cache_dir: str | Path):
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        self._db = sqlite3.connect(Path(cache_dir) / "pageviews.sqlite", isolation_level=None)
-        self._db.execute("PRAGMA journal_mode=WAL")
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS lookups (backend TEXT, kind TEXT, lang TEXT, title TEXT,"
-            " year INTEGER, value TEXT NOT NULL, PRIMARY KEY (backend, kind, lang, title, year))"
-            " WITHOUT ROWID"
-        )
+        path = Path(cache_dir) / "pageviews.sqlite"
+        self._db = None
+        try:
+            self._db = sqlite3.connect(path, isolation_level=None)
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS lookups (backend TEXT, kind TEXT, lang TEXT,"
+                " title TEXT, year INTEGER, value TEXT NOT NULL,"
+                " PRIMARY KEY (backend, kind, lang, title, year)) WITHOUT ROWID"
+            )
+        except sqlite3.DatabaseError as exc:
+            if self._db is not None:
+                self._db.close()
+            raise WikiAlumniError(f"{path}: unusable pageview cache: {exc}") from exc
 
     def get(self, key: tuple[str, str, str, str, int]) -> str | None:
         """The value under (backend, kind, lang, title, year), or None."""

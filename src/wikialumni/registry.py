@@ -4,6 +4,13 @@ The registry maps (language, page title) to a university id.  Titles are
 normalized the way wiki links denote them: first letter case-folded to
 upper, underscores treated as spaces, section anchors and pipe text
 stripped.
+
+Redirect aliases are folded in with one pass per language over the
+redirect map, in its order: a redirect whose normalized target a
+university holds adds its normalized title to that university, and a
+title added this way counts for every later redirect in the map (not
+for earlier ones).  The pass normalizes each target once and each
+matched alias once, so a load is linear in the number of redirects.
 """
 
 from __future__ import annotations
@@ -92,7 +99,8 @@ def load_registry(
     lang, title; one row per (university, lang, title).  redirect_maps
     gives, per language, the canonical-target mapping produced by
     dump.collect_redirects; every redirect whose target belongs to a
-    university becomes an alias of that university.
+    university, by its titles or by an alias added earlier in the same
+    map, becomes an alias of that university.
     """
     redirect_maps = redirect_maps or {}
     universities: dict[int, University] = {}
@@ -116,16 +124,30 @@ def load_registry(
         uni.titles.setdefault(lang, set()).add(norm)
         uni.canonical_titles.setdefault(lang, norm)
 
-    for uni in universities.values():
-        for lang, redirects in redirect_maps.items():
-            owned = uni.titles.get(lang)
-            if not owned:
-                continue
-            for alias, target in redirects.items():
-                if normalize_title(target) in owned:
-                    owned.add(normalize_title(alias))
+    for lang, redirects in redirect_maps.items():
+        _fold_aliases([uni.titles[lang] for uni in universities.values() if lang in uni.titles],
+                      redirects)
 
     return Registry(universities)
+
+
+def _fold_aliases(title_sets: list[set[str]], redirects: dict[str, str]) -> None:
+    """The alias fold of one language (see the module docstring) on the
+    title sets of the universities that have that language.  owners maps
+    a title to the sets holding it, aliases added so far included."""
+    owners: dict[str, list[set[str]]] = {}
+    for titles in title_sets:
+        for title in titles:
+            owners.setdefault(title, []).append(titles)
+    for alias, target in redirects.items():
+        holders = owners.get(normalize_title(target))
+        if not holders:
+            continue
+        norm = normalize_title(alias)
+        for titles in holders:
+            if norm not in titles:
+                titles.add(norm)
+                owners.setdefault(norm, []).append(titles)
 
 
 def load_dictionary(path: str | Path, lang: str) -> MarkerDictionary:

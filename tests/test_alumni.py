@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wikialumni.alumni import (
     AlumniRecord,
+    Sentence,
+    find_trigger,
     match_alumni,
     merge_records,
     read_dataset,
@@ -99,6 +104,80 @@ def test_split_matches_oracle_random(text):
 @given(st.text(alphabet=list(".[]|ab "), max_size=60))
 def test_split_loses_no_text(text):
     assert "".join(s.text for s in split_sentences(text)).strip() == text.strip()
+
+
+def per_char_split(wikitext):
+    """The splitter as first written, a per-character loop, kept as the
+    oracle for whole Sentence values (text and links)."""
+    sentences = []
+    depth = 0
+    start = 0
+    i = 0
+    n = len(wikitext)
+    while i < n:
+        two = wikitext[i : i + 2]
+        if two == "[[":
+            depth += 1
+            i += 2
+            continue
+        if two == "]]" and depth > 0:
+            depth -= 1
+            i += 2
+            continue
+        if wikitext[i] == "." and depth == 0:
+            sentences.append(wikitext[start : i + 1])
+            start = i + 1
+        i += 1
+    if start < n:
+        tail = wikitext[start:]
+        if tail.strip():
+            sentences.append(tail)
+    if not sentences and wikitext:
+        sentences.append(wikitext)
+    link = re.compile(r"\[\[(.+?)\]\]", re.DOTALL)
+    return [
+        Sentence(text, tuple(m.group(1).split("|", 1)[0] for m in link.finditer(text)))
+        for text in sentences
+    ]
+
+
+def test_split_matches_per_char_loop_on_random_strings():
+    rng = random.Random(20201)
+    for _ in range(20_000):
+        text = "".join(rng.choices("ab .[]|\n", k=rng.randrange(40)))
+        assert split_sentences(text) == per_char_split(text), text
+
+
+def per_phrase_trigger(sentence, phrases):
+    """find_trigger as first written: one IGNORECASE pattern per phrase,
+    tried in dictionary order."""
+    for phrase in phrases:
+        if re.search(r"(?<!\w)" + re.escape(phrase) + r"(?!\w)", sentence, re.IGNORECASE):
+            return phrase
+    return None
+
+
+# Latin, Cyrillic, and letters whose case mappings differ between casefold()
+# and re.IGNORECASE (İ ı ß ẞ ſ), plus word and non-word separators
+TRIGGER_ALPHABET = list("inasINаоИОіİıßẞſ") + list(" .-_1")
+
+
+@settings(max_examples=500)
+@given(
+    sentence=st.text(alphabet=TRIGGER_ALPHABET, max_size=30),
+    phrases=st.lists(st.text(alphabet=TRIGGER_ALPHABET, min_size=1, max_size=4),
+                     min_size=1, max_size=5),
+)
+def test_find_trigger_matches_per_phrase_loop(sentence, phrases):
+    dictionary = MarkerDictionary("xx", ("born",), tuple(phrases))
+    assert find_trigger(sentence, dictionary) == per_phrase_trigger(sentence, phrases)
+
+
+def test_find_trigger_dotted_capital_i():
+    # "İ" case-insensitively matches "i" in the regex, though "İn".casefold()
+    # is "i̇n" (with U+0307), so a casefold substring test would miss it
+    dictionary = MarkerDictionary("en", ("born",), ("graduated", "in"))
+    assert find_trigger("İn 1990 she left.", dictionary) == "in"
 
 
 @pytest.fixture

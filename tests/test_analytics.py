@@ -359,6 +359,14 @@ def test_external_score_header(tmp_path, ext_registry):
     assert ranking.ids() == [2, 1, 3]
 
 
+@pytest.mark.parametrize("value", ["501-510", "nan", "inf"])
+def test_external_value_checked_on_unmapped_row(tmp_path, ext_registry, value):
+    rows = [(f"Uni {i}", i) for i in range(1, 10)] + [("Mystery Inst", value)]
+    mapping = write_mapping(tmp_path, [(f"Uni {i}", i) for i in range(1, 10)])
+    with pytest.raises(ExternalRankingError, match=rf"ext\.tsv:11: .*{value}"):
+        load_external_ranking(write_ext(tmp_path, rows), "QS", ext_registry, mapping)
+
+
 # ------------------------------------------------------------------ audit
 
 def test_audit_rate_one_returns_all():

@@ -259,6 +259,34 @@ def test_malformed_artifact_is_one_error_line(project, config, command, name, co
     assert line.startswith("error: ") and name in line
 
 
+def test_damaged_cache_database_is_one_error_line(project, config):
+    run_ingest(config, echo=quiet)
+    run_extract(config, echo=quiet)
+    config.cache_dir.mkdir(parents=True, exist_ok=True)
+    (config.cache_dir / "pageviews.sqlite").write_text("junk", encoding="utf-8")
+    result = CliRunner().invoke(main, ["views", "-c", str(project)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and "pageviews.sqlite" in line
+
+
+def test_banded_external_rank_names_file_and_line(project, config):
+    run_ingest(config, echo=quiet)
+    run_extract(config, echo=quiet)
+    run_views(config, echo=quiet)
+    ranking = project.parent / "external.tsv"
+    lines = ranking.read_text(encoding="utf-8").splitlines()
+    assert lines[2] == "Univ. of Cambridge\t2"
+    lines[2] = "Univ. of Cambridge\t501-510"
+    ranking.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["report", "-c", str(project)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and "external.tsv:3:" in line
+
+
 def test_ingest_isolates_per_language_failure(project):
     (project.parent / "ru.xml").write_text("<mediawiki><page><title>X", encoding="utf-8")
     config = load_config(project)

@@ -1,5 +1,7 @@
 import pytest
+from click.testing import CliRunner
 
+from wikialumni.cli import main
 from wikialumni.config import ENV_CACHE_DIR, ENV_RATE_LIMIT, load_config
 from wikialumni.errors import ConfigError
 
@@ -71,3 +73,31 @@ def test_no_languages_rejected(tmp_path):
     path.write_text("universities_file: u.tsv\n")
     with pytest.raises(ConfigError, match="languages"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("analysis_year: 2017", "analysis_year: twenty", "analysis_year"),
+        ("analysis_year: 2017", "analysis_year: true", "analysis_year"),
+        ("seed: 7", "seed: lucky", "audit.seed"),
+        ("rate: 1.0", "rate: all", "audit.rate"),
+        ("pageviews:\n", "pageviews:\n  rate_limit: fast\n", "pageviews.rate_limit"),
+    ],
+    ids=["analysis_year", "analysis_year_bool", "audit.seed", "audit.rate", "pageviews.rate_limit"],
+)
+def test_non_numeric_value_is_config_error(project, old, new, key):
+    assert old in project.read_text()
+    rewrite(project, old, new)
+    result = CliRunner().invoke(main, ["audit", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and key in line
+
+
+def test_non_numeric_rate_limit_env_is_config_error(project, monkeypatch):
+    monkeypatch.setenv(ENV_RATE_LIMIT, "fast")
+    result = CliRunner().invoke(main, ["audit", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and ENV_RATE_LIMIT in line

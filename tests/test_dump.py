@@ -1,6 +1,7 @@
 import bz2
 import gzip
 import re
+import tracemalloc
 
 import pytest
 
@@ -124,8 +125,6 @@ def test_streaming_is_lazy(tmp_path):
 
 
 def test_streaming_memory_bounded(tmp_path):
-    import tracemalloc
-
     body = "lorem ipsum " * 400  # ~5 KB per page
     pages = [dict(title=f"P{i}", page_id=i, text=body) for i in range(4000)]
     path = write_dump(tmp_path, pages)
@@ -140,35 +139,58 @@ def test_streaming_memory_bounded(tmp_path):
     assert peak < 5 * 1024 * 1024
 
 
+def traced_low_points(tmp_path, n_pages, marks):
+    """Stream an n-page dump under tracemalloc; for each mark, the least
+    traced memory seen over the 256 pages before it (the parser's
+    read-ahead of unconsumed pages varies from page to page)."""
+    path = write_dump(tmp_path, [dict(title=f"P{i}", page_id=i, text="x") for i in range(n_pages)])
+    lows = {}
+    tracemalloc.start()
+    for page in stream_pages(source(path)):
+        for mark in marks:
+            if mark - 256 <= page.page_id < mark:
+                current, _ = tracemalloc.get_traced_memory()
+                lows[mark] = min(lows.get(mark, current), current)
+    tracemalloc.stop()
+    return lows
+
+
+def test_streaming_memory_does_not_grow_with_page_count(tmp_path):
+    n = 2000
+    lows = traced_low_points(tmp_path, 4 * n, [n, 4 * n])
+    # a finished page that stays referenced costs about 80 B, so 3n kept pages ~ 480 KB
+    assert lows[4 * n] - lows[n] < 3 * n * 16
+
+
 def redirect_page(title, target, page_id):
     return dict(title=title, page_id=page_id, redirect=target, text=f"#REDIRECT [[{target}]]")
 
 
-def pages_of(tmp_path, page_dicts):
+def redirects_of(tmp_path, page_dicts):
     path = write_dump(tmp_path, page_dicts)
-    return list(stream_pages(source(path)))
+    return [(p.title, p.redirect_target) for p in stream_pages(source(path)) if p.is_redirect]
 
 
 def test_redirect_single_hop(tmp_path):
-    pages = pages_of(tmp_path, [redirect_page("A", "B", 1), dict(title="B", page_id=2)])
-    mapping, bad = collect_redirects(pages)
+    redirects = redirects_of(tmp_path, [redirect_page("A", "B", 1), dict(title="B", page_id=2)])
+    mapping, bad = collect_redirects(redirects)
     assert mapping == {"A": "B"}
     assert bad == set()
 
 
 def test_redirect_transitive(tmp_path):
-    pages = pages_of(
+    redirects = redirects_of(
         tmp_path,
         [redirect_page("A", "B", 1), redirect_page("B", "C", 2), dict(title="C", page_id=3)],
     )
-    mapping, bad = collect_redirects(pages)
+    mapping, bad = collect_redirects(redirects)
     assert mapping == {"A": "C", "B": "C"}
     assert bad == set()
 
 
 def test_redirect_cycle(tmp_path):
-    pages = pages_of(tmp_path, [redirect_page("A", "B", 1), redirect_page("B", "A", 2)])
-    mapping, bad = collect_redirects(pages)
+    redirects = redirects_of(tmp_path, [redirect_page("A", "B", 1), redirect_page("B", "A", 2)])
+    mapping, bad = collect_redirects(redirects)
     assert mapping == {}
     assert bad == {"A", "B"}
 
@@ -176,8 +198,8 @@ def test_redirect_cycle(tmp_path):
 def test_redirect_chain_cap(tmp_path):
     chain = [redirect_page(f"T{i}", f"T{i+1}", i) for i in range(20)]
     chain.append(dict(title="T20", page_id=20))
-    pages = pages_of(tmp_path, chain)
-    mapping, bad = collect_redirects(pages, max_hops=16)
+    redirects = redirects_of(tmp_path, chain)
+    mapping, bad = collect_redirects(redirects, max_hops=16)
     # near-end titles resolve within the cap; early ones are reported
     assert "T19" in mapping and mapping["T19"] == "T20"
     assert "T0" in bad

@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
 from wikialumni.alumni import AlumniRecord
-from wikialumni.errors import FetchError
+from wikialumni.errors import FetchError, WikiAlumniError
 from wikialumni.pageviews import (
     SOURCE_CACHE,
     SOURCE_FIXTURE,
@@ -123,6 +125,31 @@ def test_second_cache_reads_a_put_before_the_first_closes(tmp_path):
     assert second.get(("live_api:all-agents", "views", "en", "A", 2017)) is None
     first.close()
     second.close()
+
+
+def open_files():
+    fd_dir = "/proc/self/fd"
+    names = []
+    for fd in os.listdir(fd_dir):
+        try:
+            names.append(os.readlink(os.path.join(fd_dir, fd)))
+        except OSError:  # the descriptor listdir itself used
+            pass
+    return names
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("damage", ["junk", "directory"])
+def test_damaged_cache_names_the_file_and_keeps_no_descriptor(tmp_path, damage):
+    path = tmp_path / "cache" / "pageviews.sqlite"
+    if damage == "directory":
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir()
+        path.write_text("junk", encoding="utf-8")
+    with pytest.raises(WikiAlumniError, match="pageviews.sqlite"):
+        ViewCache(tmp_path / "cache")
+    assert str(path) not in open_files()
 
 
 def test_rate_limiter_spacing():

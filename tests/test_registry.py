@@ -1,8 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from wikialumni import registry as registry_module
 from wikialumni.errors import DictionaryError, RegistryError
 from wikialumni.registry import (
+    Registry,
+    University,
     bundled_dictionary_path,
     load_dictionary,
     load_registry,
@@ -128,6 +131,94 @@ def test_resolve_link_pure_over_generated_registries(tmp_path_factory, rows):
     for title, uid in unique.items():
         assert registry.resolve_link(title, "en") == uid
         assert registry.resolve_link(title, "en") == uid  # pure: stable on repeat
+
+
+def quadratic_fold_registry(rows, redirect_maps):
+    """The alias fold as first written, kept as the oracle: every
+    university walks every redirect map and normalizes every target."""
+    universities = {}
+    for uid, name, lang, title in rows:
+        uni = universities.setdefault(uid, University(uid, name))
+        norm = normalize_title(title)
+        uni.titles.setdefault(lang, set()).add(norm)
+        uni.canonical_titles.setdefault(lang, norm)
+    for uni in universities.values():
+        for lang, redirects in redirect_maps.items():
+            owned = uni.titles.get(lang)
+            if not owned:
+                continue
+            for alias, target in redirects.items():
+                if normalize_title(target) in owned:
+                    owned.add(normalize_title(alias))
+    return Registry(universities)
+
+
+def snapshot(build):
+    """Every observable of a registry load, set and dict order included,
+    or the RegistryError text."""
+    try:
+        reg = build()
+    except RegistryError as exc:
+        return ("error", str(exc))
+    return (
+        [(uid, {lang: list(titles) for lang, titles in uni.titles.items()},
+          uni.canonical_titles) for uid, uni in reg.universities.items()],
+        list(reg._index.items()),
+    )
+
+
+# "a", "A", "a_" and " a" all normalize to "A": aliases that land on an
+# earlier title or alias, chains, and titles claimed twice are common.
+TINY_TITLE = st.text(alphabet="ab_ A", min_size=1, max_size=3).filter(normalize_title)
+LANGS = st.sampled_from(["en", "ru", "de"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(1, 4), st.sampled_from(["en", "ru"]), TINY_TITLE),
+                  min_size=1, max_size=8),
+    redirect_maps=st.dictionaries(LANGS, st.dictionaries(TINY_TITLE, TINY_TITLE, max_size=12),
+                                  max_size=3),
+)
+def test_alias_fold_matches_quadratic_oracle(tmp_path_factory, rows, redirect_maps):
+    rows = [(uid, f"U{uid}", lang, title) for uid, lang, title in rows]
+    path = write_universities_file(tmp_path_factory.getbasetemp() / "oracle_u.tsv", rows)
+    assert snapshot(lambda: load_registry(path, redirect_maps)) == snapshot(
+        lambda: quadratic_fold_registry(rows, redirect_maps)
+    )
+
+
+def test_alias_added_earlier_matches_later_redirect(tmp_path):
+    path = registry_file(tmp_path, [(1, "Harvard University", "en", "Harvard University")])
+    # "Harvard" becomes an alias first, so "Harvard College" -> "Harvard" follows it;
+    # "Crimson" comes before "Cambridge U" is an alias, so it does not
+    registry = load_registry(path, {"en": {
+        "Crimson": "Cambridge U", "Harvard": "Harvard University",
+        "Harvard College": "harvard", "Cambridge U": "Harvard_College",
+    }})
+    assert registry.universities[1].titles["en"] == {
+        "Harvard University", "Harvard", "Harvard College", "Cambridge U"
+    }
+    assert registry.resolve_link("Crimson", "en") is None
+
+
+def test_alias_fold_normalizes_linearly(tmp_path, monkeypatch):
+    n_unis, n_redirects = 60, 3000
+    rows = [(uid, f"U{uid}", "en", f"University {uid}") for uid in range(n_unis)]
+    redirects = {f"Alias {i}": f"University {i % (2 * n_unis)}" for i in range(n_redirects)}
+    path = registry_file(tmp_path, rows)
+    calls = 0
+    real = registry_module.normalize_title
+
+    def counting(raw):
+        nonlocal calls
+        calls += 1
+        return real(raw)
+
+    monkeypatch.setattr(registry_module, "normalize_title", counting)
+    registry = load_registry(path, {"en": redirects})
+    assert calls <= len(rows) + 2 * n_redirects  # the quadratic fold made 181,560
+    assert registry.resolve_link("Alias 121", "en") == 1
 
 
 def dictionary_file(tmp_path, body):
