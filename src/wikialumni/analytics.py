@@ -7,22 +7,18 @@ default method; Pearson on raw scores is available behind a flag.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .alumni import AlumniRecord
 from .errors import CorrelationError, ExternalRankingError
 from .registry import Registry
 from .tsv import read_tsv, write_tsv
-
-SCORE_ALUMNI = "alumni_view_sum"
-SCORE_UNIVERSITY_PAGE = "university_page_views"
-SCORE_EXTERNAL = "external"
 
 METHOD_SPEARMAN = "spearman"
 METHOD_PEARSON = "pearson_on_scores"
@@ -65,12 +61,7 @@ class Ranking:
     canonical name ascending."""
 
     entries: tuple[tuple[int, float], ...]
-    score_kind: str
-    filter: FilterSpec | None = None
     name: str = ""
-
-    def ids(self) -> list[int]:
-        return [uid for uid, _ in self.entries]
 
     def scores(self) -> dict[int, float]:
         return dict(self.entries)
@@ -79,7 +70,6 @@ class Ranking:
 class CorrelationResult(NamedTuple):
     coefficient: float
     n_common: int
-    method: str
 
 
 def apply_filter(
@@ -111,13 +101,12 @@ def describe(records: Sequence[AlumniRecord]) -> DescriptiveStats:
     n_universities = len({r.university_id for r in records})
     if n == 0:
         return DescriptiveStats(0, 0, None, None, None)
-    arr = np.array(views, dtype=np.float64)
     return DescriptiveStats(
         n_alumni=n,
         n_universities=n_universities,
-        mean_views=float(arr.mean()),
-        median_views=float(np.median(arr)),
-        stddev_views=float(arr.std(ddof=0)),
+        mean_views=statistics.fmean(views),
+        median_views=float(statistics.median(views)),
+        stddev_views=statistics.pstdev(views),
     )
 
 
@@ -138,23 +127,17 @@ def rank_universities(
         sums[rec.university_id] = sums.get(rec.university_id, 0) + rec.views_total
         names[rec.university_id] = rec.university_name
     ordered = sorted(sums.items(), key=lambda kv: (-kv[1], names[kv[0]]))
-    return Ranking(
-        entries=tuple((uid, float(score)) for uid, score in ordered),
-        score_kind=SCORE_ALUMNI,
-        filter=spec,
-        name=name,
-    )
+    return Ranking(entries=tuple((uid, float(score)) for uid, score in ordered), name=name)
 
 
 def ranking_from_scores(
     scores: dict[int, float],
-    score_kind: str,
     names: dict[int, str] | None = None,
     name: str = "",
 ) -> Ranking:
     names = names or {}
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], names.get(kv[0], str(kv[0]))))
-    return Ranking(entries=tuple(ordered), score_kind=score_kind, name=name)
+    return Ranking(entries=tuple(ordered), name=name)
 
 
 def correlate(
@@ -175,57 +158,63 @@ def correlate(
             f"rankings share only {len(common)} entities; need at least 3 "
             "for a meaningful correlation"
         )
-    a = np.array([scores_a[uid] for uid in common], dtype=np.float64)
-    b = np.array([scores_b[uid] for uid in common], dtype=np.float64)
+    a = [scores_a[uid] for uid in common]
+    b = [scores_b[uid] for uid in common]
     if method == METHOD_SPEARMAN:
         coef = _pearson(_average_ranks(a), _average_ranks(b))
     else:
         coef = _pearson(a, b)
-    return CorrelationResult(coefficient=coef, n_common=len(common), method=method)
+    return CorrelationResult(coefficient=coef, n_common=len(common))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; each group of tied values gets the mean of its
     positions."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, tied in itertools.groupby(order, key=values.__getitem__):
+        tied = list(tied)
+        end = start + len(tied)
+        for i in tied:
+            ranks[i] = (start + 1 + end) / 2
+        start = end
     return ranks
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Sums are math.fsum (correctly rounded), so the result does not
+    depend on the Python version's float summation."""
+    mean_x = math.fsum(x) / len(x)
+    mean_y = math.fsum(y) / len(y)
+    xc = [v - mean_x for v in x]
+    yc = [v - mean_y for v in y]
+    denom = math.sqrt(math.fsum(v * v for v in xc) * math.fsum(v * v for v in yc))
     if denom == 0:
         raise CorrelationError("constant scores; correlation undefined")
-    return float((xc * yc).sum() / denom)
+    return math.fsum(u * v for u, v in zip(xc, yc)) / denom
 
 
 def correlation_matrix(
     rankings: Sequence[Ranking], method: str = METHOD_SPEARMAN
-) -> np.ndarray:
+) -> list[list[float]]:
     """Symmetric matrix with unit diagonal; cells whose pair cannot be
     correlated are NaN."""
     if len(rankings) < 2:
         raise ValueError("need at least 2 rankings")
     n = len(rankings)
-    matrix = np.full((n, n), np.nan)
-    np.fill_diagonal(matrix, 1.0)
+    matrix = [[1.0 if i == j else math.nan for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
             try:
                 coef = correlate(rankings[i], rankings[j], method).coefficient
             except CorrelationError:
-                coef = np.nan
-            matrix[i, j] = matrix[j, i] = coef
+                coef = math.nan
+            matrix[i][j] = matrix[j][i] = coef
     return matrix
 
 
-def render_matrix(matrix: np.ndarray, labels: Sequence[str]) -> str:
+def render_matrix(matrix: Sequence[Sequence[float]], labels: Sequence[str]) -> str:
     """Lower-triangular text rendering."""
     lines = ["\t" + "\t".join(labels)]
     for i, label in enumerate(labels):
@@ -233,10 +222,10 @@ def render_matrix(matrix: np.ndarray, labels: Sequence[str]) -> str:
         for j in range(len(labels)):
             if j > i:
                 cells.append("")
-            elif np.isnan(matrix[i, j]):
+            elif math.isnan(matrix[i][j]):
                 cells.append("n/a")
             else:
-                cells.append(f"{matrix[i, j]:.2f}")
+                cells.append(f"{matrix[i][j]:.2f}")
         lines.append(label + "\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -281,7 +270,7 @@ def load_external_ranking(
             f"{ranking_file}: {len(unmapped)}/{len(rows)} names unmapped "
             f"(limit {max_unmapped_fraction:.0%}): {unmapped[:5]}"
         )
-    ranking = ranking_from_scores(scores, SCORE_EXTERNAL, names, name=name)
+    ranking = ranking_from_scores(scores, names, name=name)
     return ranking, unmapped
 
 

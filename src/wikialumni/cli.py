@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import alumni, analytics, pageviews, persons
-from .config import MODE_FIXTURE, NamedFilter, PipelineConfig, load_config
+from .config import MODE_FIXTURE, NamedFilter, PipelineConfig, dump_year, load_config
 from .dump import DumpSource, collect_redirects, stream_pages
 from .errors import ConfigError, WikiAlumniError
 from .registry import load_dictionary, load_registry
@@ -100,6 +100,8 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
     for lang_cfg in config.languages:
         person_dir = out / "persons" / lang_cfg.code
         person_dir.mkdir(parents=True, exist_ok=True)
+        # birth years are bounded by the dump, not by the wall clock
+        year_bound = dump_year(lang_cfg) or config.analysis_year
         try:
             dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
             source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
@@ -115,7 +117,7 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
                 marker = persons.detect_person(page, dictionary)
                 if marker is None:
                     continue
-                year = persons.extract_birth_year(page)
+                year = persons.extract_birth_year(page, year_bound)
                 persons.persist_person(persons.PersonPage(page, year), person_dir)
                 n_persons += 1
             resolved, unresolvable = collect_redirects(redirects)
@@ -226,7 +228,7 @@ def run_views(config: PipelineConfig, echo=click.echo) -> int:
         enriched = pageviews.enrich_records(records, config.analysis_year, client)
         alumni.write_dataset(enriched, out / ENRICHED_NAME, enriched=True)
 
-        registry = load_registry(config.universities_file, _load_redirect_maps(config))
+        registry = load_registry(config.universities_file)  # canonical titles only
         totals = pageviews.university_views(registry, config.analysis_year, client)
         rows = [
             (str(uid), registry.name_of(uid), str(config.analysis_year), str(totals[uid]))
@@ -251,7 +253,7 @@ def run_report(config: PipelineConfig, echo=click.echo) -> int:
     reports.mkdir(parents=True, exist_ok=True)
     provenance = _provenance_lines(config)
     records = alumni.read_dataset(enriched_path)
-    registry = load_registry(config.universities_file, _load_redirect_maps(config))
+    registry = load_registry(config.universities_file)  # names and ids only
 
     named_filters = list(config.filters) or [NamedFilter("full", analytics.FilterSpec())]
 
@@ -314,7 +316,6 @@ def _write_alumni_vs_university(records, uni_views_path, registry, reports, prov
     names = {uid: registry.name_of(uid) for uid in totals}
     uni_ranking = analytics.ranking_from_scores(
         {u: float(v) for u, v in totals.items()},
-        analytics.SCORE_UNIVERSITY_PAGE,
         names,
         name="university_pages",
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,9 +63,18 @@ class PipelineConfig:
     audit_seed: int = 0
     config_hash: str = ""
 
-    @property
-    def lang_codes(self) -> list[str]:
-        return [lang.code for lang in self.languages]
+
+def dump_year(lang: LanguageConfig) -> int | None:
+    """The year of lang.dump_date ('2018-09-01' or '20180901'), or None
+    when no dump date is set."""
+    if not lang.dump_date:
+        return None
+    if not re.match(r"[0-9]{4}", lang.dump_date):
+        raise ConfigError(
+            f"dump_date for {lang.code!r} must start with a four-digit year, "
+            f"got {lang.dump_date!r}"
+        )
+    return int(lang.dump_date[:4])
 
 
 def _filter_from_dict(raw: dict) -> NamedFilter:
@@ -88,6 +98,8 @@ def _number(kind: type, key: str, value):
     try:
         if isinstance(value, bool):  # YAML true/false; int(True) would read as 1
             raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError  # int(2017.9) would truncate to 2017
         return kind(value)
     except (TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
@@ -123,6 +135,7 @@ def load_config(path: str | Path) -> PipelineConfig:
                 dump_date=str(item.get("dump_date", "")),
             )
         )
+        dump_year(languages[-1])  # fails here, not in ingest, on a date without a year
     if not languages:
         raise ConfigError("no languages configured")
 
@@ -160,6 +173,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
 
     audit = raw.get("audit", {})
+    audit_rate = _number(float, "audit.rate", audit.get("rate", 0.05))
+    if not 0 < audit_rate <= 1:
+        raise ConfigError(f"audit.rate must be in (0, 1], got {audit_rate!r}")
 
     config = PipelineConfig(
         languages=tuple(languages),
@@ -177,7 +193,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         correlation_method=method,
         filters=tuple(_filter_from_dict(f) for f in raw.get("filters", [])),
         external_rankings=externals,
-        audit_rate=_number(float, "audit.rate", audit.get("rate", 0.05)),
+        audit_rate=audit_rate,
         audit_seed=_number(int, "audit.seed", audit.get("seed", 0)),
         config_hash=hashlib.sha256(raw_bytes).hexdigest()[:16],
     )

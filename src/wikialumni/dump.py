@@ -37,10 +37,6 @@ class WikiPage:
     def is_redirect(self) -> bool:
         return self.redirect_target is not None
 
-    @property
-    def is_article(self) -> bool:
-        return self.namespace == 0 and not self.is_redirect
-
 
 @dataclass(frozen=True)
 class DumpSource:

@@ -35,9 +35,6 @@ LANGLINKS_URL = "https://{lang}.wikipedia.org/w/api.php"
 
 @dataclass(frozen=True)
 class PageViewStat:
-    title: str
-    lang: str
-    year: int
     total: int
     source: str
     missing: bool = False  # no data for the page (404-equivalent)
@@ -263,7 +260,7 @@ class ViewClient:
         (total, missing), source = self._lookup(
             "views", lang, title, year, lambda: self.backend.get_views(title, lang, year)
         )
-        return PageViewStat(title, lang, year, total, source, missing)
+        return PageViewStat(total, source, missing)
 
     def resolve_english(self, title: str, lang: str) -> str | None:
         """The English counterpart's title, or None if there is none."""

@@ -8,7 +8,6 @@ the scan continues.
 
 from __future__ import annotations
 
-import datetime
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,12 +38,9 @@ def detect_person(page: WikiPage, dictionary: MarkerDictionary) -> str | None:
     return None
 
 
-def extract_birth_year(
-    page: WikiPage, current_year: int | None = None
-) -> int | None:
-    """Scan the first WORD_WINDOW words for a plausible four-digit year."""
-    if current_year is None:
-        current_year = datetime.date.today().year
+def extract_birth_year(page: WikiPage, current_year: int) -> int | None:
+    """Scan the first WORD_WINDOW words for a four-digit year between
+    BIRTH_YEAR_MIN and current_year, the year of the dump."""
     words = page.wikitext.split()
     for word in words[:WORD_WINDOW]:
         for match in _FOUR_DIGITS.finditer(word):

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +9,6 @@ from wikialumni.analytics import (
     _average_ranks,
     METHOD_PEARSON,
     METHOD_SPEARMAN,
-    SCORE_EXTERNAL,
     FilterSpec,
     Ranking,
     apply_filter,
@@ -147,7 +145,7 @@ def test_rank_tie_breaks_by_name():
         rec(uid=2, name="Beta", person="a", views=10),
         rec(uid=1, name="Alpha", person="b", views=10),
     ]
-    assert rank_universities(records).ids() == [1, 2]
+    assert [uid for uid, _ in rank_universities(records).entries] == [1, 2]
 
 
 def test_rank_permutation_invariant():
@@ -166,13 +164,13 @@ def test_describe_rank_sum_agreement():
 # ----------------------------------------------------------- correlations
 
 def ranking_of(scores, name=""):
-    return ranking_from_scores(dict(enumerate(scores)), SCORE_EXTERNAL, name=name)
+    return ranking_from_scores(dict(enumerate(scores)), name=name)
 
 
 def ranking_with_rank_order(ranks):
     """Entity i gets rank ranks[i]; higher score = better rank."""
     n = len(ranks)
-    return ranking_from_scores({i: float(n - r) for i, r in enumerate(ranks)}, SCORE_EXTERNAL)
+    return ranking_from_scores({i: float(n - r) for i, r in enumerate(ranks)})
 
 
 def test_spearman_oracle_06():
@@ -182,7 +180,15 @@ def test_spearman_oracle_06():
     result = correlate(a, b)
     assert math.isclose(result.coefficient, 0.6, abs_tol=1e-9)
     assert result.n_common == 4
-    assert result.method == METHOD_SPEARMAN
+
+
+def test_default_method_is_spearman():
+    # ranks agree exactly, raw scores do not lie on a line
+    a = ranking_of([1, 2, 100])
+    b = ranking_of([1, 2, 3])
+    assert correlate(a, b).coefficient == correlate(a, b, METHOD_SPEARMAN).coefficient == 1.0
+    pearson = correlate(a, b, METHOD_PEARSON).coefficient
+    assert math.isclose(pearson, 0.8704, abs_tol=1e-4)
 
 
 def test_identical_rankings_are_one():
@@ -197,28 +203,26 @@ def test_reversed_rankings_are_minus_one():
 
 
 def test_small_intersection_refused():
-    a = ranking_from_scores({1: 1.0, 2: 2.0}, SCORE_EXTERNAL)
-    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0}, SCORE_EXTERNAL)
+    a = ranking_from_scores({1: 1.0, 2: 2.0})
+    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0})
     with pytest.raises(CorrelationError, match="2"):
         correlate(a, b)
 
 
 def test_correlate_over_intersection_only():
-    a = ranking_from_scores({1: 3.0, 2: 2.0, 3: 1.0, 99: 50.0}, SCORE_EXTERNAL)
-    b = ranking_from_scores({1: 30.0, 2: 20.0, 3: 10.0, 42: 5.0}, SCORE_EXTERNAL)
+    a = ranking_from_scores({1: 3.0, 2: 2.0, 3: 1.0, 99: 50.0})
+    b = ranking_from_scores({1: 30.0, 2: 20.0, 3: 10.0, 42: 5.0})
     result = correlate(a, b)
     assert result.n_common == 3
     assert abs(result.coefficient - 1.0) < 1e-12
 
 
 def test_spearman_handles_ties_with_average_ranks():
-    # scipy-independent hand computation: a = (1,1,2), ranks (1.5,1.5,3)
-    a = ranking_from_scores({1: 1.0, 2: 1.0, 3: 2.0}, SCORE_EXTERNAL)
-    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0}, SCORE_EXTERNAL)
-    ra = np.array([1.5, 1.5, 3.0])
-    rb = np.array([1.0, 2.0, 3.0])
-    expected = np.corrcoef(ra, rb)[0, 1]
-    assert math.isclose(correlate(a, b).coefficient, expected, abs_tol=1e-12)
+    # hand computation: a = (1,1,2) has ranks (1.5,1.5,3), centred (-.5,-.5,1);
+    # b's ranks (1,2,3) centre to (-1,0,1); r = 1.5 / sqrt(1.5 * 2) = sqrt(3)/2
+    a = ranking_from_scores({1: 1.0, 2: 1.0, 3: 2.0})
+    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0})
+    assert math.isclose(correlate(a, b).coefficient, math.sqrt(3) / 2, abs_tol=1e-12)
 
 
 def oracle_average_ranks(values):
@@ -229,8 +233,7 @@ def oracle_average_ranks(values):
 
 @given(st.lists(st.integers(-3, 3) | st.floats(-1e6, 1e6), max_size=40))
 def test_average_ranks_match_definition(values):
-    ranks = _average_ranks(np.array(values, dtype=np.float64))
-    assert ranks.tolist() == oracle_average_ranks(values)
+    assert _average_ranks(values) == oracle_average_ranks(values)
 
 
 def test_pearson_on_scores():
@@ -254,22 +257,22 @@ def test_spearman_symmetry_and_monotone_invariance(scores):
 def test_matrix_2x2():
     a = ranking_of([1, 2, 3])
     m = correlation_matrix([a, a])
-    assert m.shape == (2, 2)
-    assert np.allclose(m, 1.0)
+    assert len(m) == 2 and all(len(row) == 2 for row in m)
+    assert all(math.isclose(v, 1.0) for row in m for v in row)
 
 
 def test_matrix_duplicate_ranking_offdiag_one():
     a = ranking_of([3, 1, 2, 5])
     m = correlation_matrix([a, ranking_of([9, 2, 4]), a])
-    assert abs(m[0, 2] - 1.0) < 1e-12
+    assert abs(m[0][2] - 1.0) < 1e-12
 
 
 def test_matrix_unavailable_cell_is_nan():
     a = ranking_of([1, 2, 3])
-    b = ranking_from_scores({10: 1.0, 11: 2.0, 12: 3.0}, SCORE_EXTERNAL)
+    b = ranking_from_scores({10: 1.0, 11: 2.0, 12: 3.0})
     m = correlation_matrix([a, b])
-    assert np.isnan(m[0, 1]) and np.isnan(m[1, 0])
-    assert m[0, 0] == m[1, 1] == 1.0
+    assert math.isnan(m[0][1]) and math.isnan(m[1][0])
+    assert m[0][0] == m[1][1] == 1.0
 
 
 def test_nested_cohorts_all_positive():
@@ -287,7 +290,7 @@ def test_nested_cohorts_all_positive():
         for y in cohorts
     ]
     m = correlation_matrix(rankings)
-    assert (m > 0).all()
+    assert all(v > 0 for row in m for v in row)
 
 
 def test_render_matrix_lower_triangular():
@@ -328,7 +331,7 @@ def test_external_fully_mapped(tmp_path, ext_registry):
     assert len(ranking.entries) == 10
     assert unmapped == []
     # best rank first
-    assert ranking.ids()[0] == 1
+    assert ranking.entries[0][0] == 1
 
 
 def test_external_one_unmapped_reported(tmp_path, ext_registry):
@@ -356,7 +359,7 @@ def test_external_score_header(tmp_path, ext_registry):
     ranking, _ = load_external_ranking(
         write_ext(tmp_path, rows, header="name\tscore"), "ARWU", ext_registry, mapping
     )
-    assert ranking.ids() == [2, 1, 3]
+    assert [uid for uid, _ in ranking.entries] == [2, 1, 3]
 
 
 @pytest.mark.parametrize("value", ["501-510", "nan", "inf"])

@@ -22,9 +22,9 @@ from wikialumni.cli import (
     run_views,
 )
 from wikialumni.config import load_config
-from wikialumni.errors import ConfigError
+from wikialumni.errors import ConfigError, RegistryError
 
-from conftest import child_env
+from conftest import child_env, make_dump_xml
 from mini_corpus import (
     EXPECTED_DATASET,
     EXPECTED_UNIVERSITY_VIEWS,
@@ -168,6 +168,44 @@ def test_full_run_byte_identical(tmp_path):
     assert outputs[0].keys() == outputs[1].keys()
     for key in outputs[0]:
         assert outputs[0][key] == outputs[1][key], key
+
+
+def test_views_and_report_read_no_redirect_map(project, config):
+    run_all(config)
+    bad_map = config.output_dir / "redirects" / "en.tsv"
+    outputs = {p: p.read_bytes() for p in config.output_dir.rglob("*")
+               if p.is_file() and p != bad_map}
+    # Cambridge's title as a redirect to Harvard: the alias fold would
+    # give one title to two universities.
+    bad_map.write_text("University of Cambridge\tHarvard University\n", encoding="utf-8")
+    with pytest.raises(RegistryError, match="claimed by both"):
+        run_extract(config, echo=quiet)
+    for command in ("views", "report"):
+        result = CliRunner().invoke(main, [command, "-c", str(project)])
+        assert result.exit_code == 0, result.output
+    for path, blob in outputs.items():
+        assert path.read_bytes() == blob, path
+
+
+@pytest.mark.parametrize(
+    "dump_date, lead",
+    [('"20180901"', "2020"), ('"2018-09-01"', "2019"), (None, "2018")],
+    ids=["compact_dump_date", "iso_dump_date", "analysis_year"],
+)
+def test_birth_year_is_bounded_by_the_dump(project, dump_date, lead):
+    text = project.read_text(encoding="utf-8")
+    old = 'dump_date: "2018-09-01"'
+    text = text.replace(old, f"dump_date: {dump_date}") if dump_date else text.replace(old, "")
+    project.write_text(text, encoding="utf-8")
+    page = dict(title="Zoe Later", page_id=50,
+                text=f"Zoe Later ({lead} award winner) was born in 1971. She graduated.")
+    (project.parent / "en.xml").write_text(make_dump_xml([page]), encoding="utf-8")
+    config = load_config(project)
+    assert config.analysis_year == 2017
+    assert run_ingest(config, echo=quiet) == 0
+    assert [p.name for p in (config.output_dir / "persons" / "en").iterdir()] == [
+        "page_50_1971.xml"
+    ]
 
 
 def test_report_resume_touches_no_upstream(config):

@@ -17,7 +17,7 @@ def test_load_config_defaults(project):
     config = load_config(project)
     assert config.analysis_year == 2017
     assert config.pageview_mode == "fixture"
-    assert config.lang_codes == ["en", "ru"]
+    assert [lang.code for lang in config.languages] == ["en", "ru"]
     assert config.correlation_method == "spearman"
     assert len(config.config_hash) == 16
 
@@ -80,11 +80,13 @@ def test_no_languages_rejected(tmp_path):
     [
         ("analysis_year: 2017", "analysis_year: twenty", "analysis_year"),
         ("analysis_year: 2017", "analysis_year: true", "analysis_year"),
+        ("analysis_year: 2017", "analysis_year: 2017.9", "analysis_year"),
         ("seed: 7", "seed: lucky", "audit.seed"),
         ("rate: 1.0", "rate: all", "audit.rate"),
         ("pageviews:\n", "pageviews:\n  rate_limit: fast\n", "pageviews.rate_limit"),
     ],
-    ids=["analysis_year", "analysis_year_bool", "audit.seed", "audit.rate", "pageviews.rate_limit"],
+    ids=["analysis_year", "analysis_year_bool", "analysis_year_fraction", "audit.seed",
+         "audit.rate", "pageviews.rate_limit"],
 )
 def test_non_numeric_value_is_config_error(project, old, new, key):
     assert old in project.read_text()
@@ -93,6 +95,21 @@ def test_non_numeric_value_is_config_error(project, old, new, key):
     assert result.exit_code == 2
     (line,) = result.output.splitlines()
     assert line.startswith("config error: ") and key in line
+
+
+@pytest.mark.parametrize("rate", ["5", "0", "-0.5"])
+def test_audit_rate_out_of_range_is_config_error(project, rate):
+    rewrite(project, "rate: 1.0", f"rate: {rate}")
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and "audit.rate" in line
+
+
+def test_dump_date_without_a_year_is_config_error(project):
+    rewrite(project, 'dump_date: "2018-09-01"', 'dump_date: "latest"')
+    with pytest.raises(ConfigError, match="dump_date.*latest"):
+        load_config(project)
 
 
 def test_non_numeric_rate_limit_env_is_config_error(project, monkeypatch):

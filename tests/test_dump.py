@@ -42,7 +42,7 @@ def test_namespace_field(tmp_path):
     path = write_dump(tmp_path, [dict(title="Talk:Alpha", page_id=9, ns=1)])
     (page,) = stream_pages(source(path))
     assert page.namespace == 1
-    assert not page.is_article
+    assert not page.is_redirect
 
 
 @pytest.mark.parametrize("compress", ["plain", "gzip", "bz2"])

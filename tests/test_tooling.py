@@ -1,6 +1,6 @@
 """Guards on the package's structure: every TSV parse and artifact write
-goes through wikialumni.tsv, the view cache is one SQLite file, and the
-CLI imports no heavy dependency."""
+goes through wikialumni.tsv, the view cache is one SQLite file, the CLI
+imports no heavy dependency, and every public name is read in src/."""
 
 import ast
 import subprocess
@@ -83,8 +83,88 @@ def test_view_cache_is_one_database_file(tmp_path):
 
 def test_cli_import_leaves_out_scipy():
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, wikialumni.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, wikialumni.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"],
         env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+# Public names that nothing in src/ reads, each kept for a reason.
+UNREAD_ALLOWED = {
+    "bundled_dictionary_path": "locates the starter dictionaries shipped as package data",
+    "PageViewStat.missing": "half of the (total, missing) value stored in pageviews.sqlite",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
+               for n in decorators + cls.bases)
+
+
+def _public_api(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """(public module-level names, 'Class.member' for every public field
+    and method of a dataclass or NamedTuple)."""
+    names, members = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.append(f"{node.name}.{item.target.id}")
+                elif isinstance(item, ast.FunctionDef):
+                    members.append(f"{node.name}.{item.name}")
+    return (
+        [n for n in names if not n.startswith("_")],
+        [m for m in members if not m.split(".")[1].startswith("_")],
+    )
+
+
+def _unread_api(trees: list[ast.Module]) -> list[str]:
+    """Public names that no tree reads: a module-level name must appear
+    as a name or an attribute, a record member as an attribute read
+    (x.member); a keyword at construction is not a read."""
+    loaded_names, loaded_attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded_names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded_attrs.add(node.attr)
+    unread = []
+    for tree in trees:
+        names, members = _public_api(tree)
+        unread += [n for n in names if n not in loaded_names | loaded_attrs]
+        unread += [m for m in members if m.split(".")[1] not in loaded_attrs]
+    return unread
+
+
+def test_unread_api_scan_finds_unread_names_and_members():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "LIMIT = 3\nSPARE = 4\n"
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n    a: int\n    b: int = 0\n    _c: int = 0\n"
+        "    def used(self):\n        return self.a\n"
+        "    def spare(self):\n        return 1\n"
+        "class Pair(NamedTuple):\n    x: int\n    y: int\n"
+        "class Plain:\n    z: int = 0\n"
+        "def f(p):\n    return Rec(a=LIMIT, b=1).used() + Pair(1, 2).x + isinstance(p, Plain)\n"
+    )
+    assert _unread_api([tree]) == ["SPARE", "f", "Rec.b", "Rec.spare", "Pair.y"]
+
+
+def test_every_public_name_is_read_in_src():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    unread = _unread_api(trees)
+    assert [name for name in unread if name not in UNREAD_ALLOWED] == []
+    assert sorted(set(UNREAD_ALLOWED) - set(unread)) == []  # no stale exception
