@@ -10,14 +10,18 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import signal
 import sys
 from contextlib import closing, contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 import click
 
 from . import alumni, analytics, pageviews, persons
-from .config import MODE_FIXTURE, NamedFilter, PipelineConfig, dump_year, load_config
+from .config import (
+    MODE_FIXTURE, LanguageConfig, NamedFilter, PipelineConfig, dump_year, load_config
+)
 from .dump import DumpSource, collect_redirects, stream_pages
 from .errors import ConfigError, WikiAlumniError
 from .registry import load_dictionary, load_registry
@@ -80,14 +84,22 @@ def _manifest_complete(manifest: dict | None, config: PipelineConfig) -> bool:
         return False
     langs = manifest.get("languages", {})
     return all(
-        lang.code in langs and langs[lang.code].get("status") == "ok"
+        lang.code in langs
+        and langs[lang.code].get("status") == "ok"
+        and langs[lang.code].get("dump_date") == lang.dump_date
         for lang in config.languages
     )
 
 
 def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
     """Stream every configured dump; persist person files and redirect
-    maps; write the resume manifest."""
+    maps; write the resume manifest.
+
+    Each language is ingested in its own forked worker process, at most
+    one per CPU in the affinity mask; memory stays bounded by the
+    largest page in each worker.  Only this process echoes, in config
+    order, and writes the manifest.
+    """
     out = config.output_dir
     manifest = _load_manifest(config)
     if _manifest_complete(manifest, config):
@@ -96,50 +108,125 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
 
     (out / "redirects").mkdir(parents=True, exist_ok=True)
     languages: dict[str, dict] = {}
-    failed = False
-    for lang_cfg in config.languages:
-        person_dir = out / "persons" / lang_cfg.code
-        person_dir.mkdir(parents=True, exist_ok=True)
-        # birth years are bounded by the dump, not by the wall clock
-        year_bound = dump_year(lang_cfg) or config.analysis_year
-        try:
-            dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
-            source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
-            n_pages = n_persons = 0
-            redirects = []
-            for page in stream_pages(source):
-                n_pages += 1
-                if page.is_redirect:
-                    redirects.append((page.title, page.redirect_target))
-                    continue
-                if page.namespace != 0:
-                    continue
-                marker = persons.detect_person(page, dictionary)
-                if marker is None:
-                    continue
-                year = persons.extract_birth_year(page, year_bound)
-                persons.persist_person(persons.PersonPage(page, year), person_dir)
-                n_persons += 1
-            resolved, unresolvable = collect_redirects(redirects)
-            write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
-            languages[lang_cfg.code] = {
-                "status": "ok",
-                "pages": n_pages,
-                "persons": n_persons,
-                "redirects": len(resolved),
-                "unresolvable_redirects": sorted(unresolvable),
-                "dump_date": lang_cfg.dump_date,
-            }
-            echo(f"ingest: {lang_cfg.code}: {n_pages} pages, {n_persons} persons")
-        except WikiAlumniError as exc:
-            languages[lang_cfg.code] = {"status": "error", "error": str(exc)}
-            echo(f"ingest: {lang_cfg.code}: FAILED: {exc}", err=True)
-            failed = True
+    for lang_cfg, entry in zip(config.languages, _ingest_in_workers(config)):
+        languages[lang_cfg.code] = entry
+        if entry["status"] == "ok":
+            echo(f"ingest: {lang_cfg.code}: {entry['pages']} pages, {entry['persons']} persons")
+        else:
+            echo(f"ingest: {lang_cfg.code}: FAILED: {entry['error']}", err=True)
     manifest = {"languages": languages}
     write_text_atomic(
         out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    return 1 if failed else 0
+    return 0 if all(e["status"] == "ok" for e in languages.values()) else 1
+
+
+def _ingest_language(lang_cfg: LanguageConfig, out: Path, analysis_year: int) -> dict:
+    """Ingest one language's dump into persons/<lang>/ and
+    redirects/<lang>.tsv; return its manifest entry."""
+    person_dir = out / "persons" / lang_cfg.code
+    person_dir.mkdir(parents=True, exist_ok=True)
+    for stale in person_dir.glob("page_*.xml"):  # left by an earlier config
+        stale.unlink()
+    # birth years are bounded by the dump, not by the wall clock
+    year_bound = dump_year(lang_cfg) or analysis_year
+    try:
+        dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
+        source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
+        n_pages = n_persons = 0
+        redirects = []
+        for page in stream_pages(source):
+            n_pages += 1
+            if page.is_redirect:
+                redirects.append((page.title, page.redirect_target))
+                continue
+            if page.namespace != 0:
+                continue
+            marker = persons.detect_person(page, dictionary)
+            if marker is None:
+                continue
+            year = persons.extract_birth_year(page, year_bound)
+            persons.persist_person(persons.PersonPage(page, year), person_dir)
+            n_persons += 1
+        resolved, unresolvable = collect_redirects(redirects)
+        write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
+        return {
+            "status": "ok",
+            "pages": n_pages,
+            "persons": n_persons,
+            "redirects": len(resolved),
+            "unresolvable_redirects": sorted(unresolvable),
+            "dump_date": lang_cfg.dump_date,
+        }
+    except WikiAlumniError as exc:
+        return {"status": "error", "error": str(exc)}
+
+
+def _ingest_in_workers(config: PipelineConfig) -> list[dict]:
+    """Every language's manifest entry, in config order, each computed
+    by ``_ingest_language`` in a forked child (the pipeline starts no
+    threads, so forking is safe).
+
+    At most one child per CPU in the affinity mask runs at once.  A child
+    still running when this returns or raises is killed and reaped, so
+    none outlives the call.
+    """
+    langs = config.languages
+    width = len(os.sched_getaffinity(0))
+    workers: list[tuple[int, BinaryIO]] = []  # (pid, read end), oldest first
+    entries: list[dict] = []
+    try:
+        while len(entries) < len(langs):
+            while len(workers) < width and len(entries) + len(workers) < len(langs):
+                workers.append(_fork_worker(langs[len(entries) + len(workers)], config))
+            pid, pipe = workers[0]
+            # Read to EOF before waiting: a child blocks on a full pipe
+            # until its entry is read, so waiting first could deadlock.
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            pipe.close()
+            if status != 0 or not data:
+                how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
+                code = langs[len(entries)].code
+                raise WikiAlumniError(f"ingest worker for {code} {how} without a result")
+            entries.append(json.loads(data))
+    finally:
+        for pid, pipe in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    return entries
+
+
+def _fork_worker(lang_cfg: LanguageConfig, config: PipelineConfig) -> tuple[int, BinaryIO]:
+    """Start one child that ingests ``lang_cfg`` and writes its manifest
+    entry as JSON into a pipe; return (pid, read end of the pipe)."""
+    rfd, wfd = os.pipe()
+    sys.stderr.flush()  # a child that prints a traceback must not repeat buffered output
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            entry = _ingest_language(lang_cfg, config.output_dir, config.analysis_year)
+            with open(wfd, "wb") as pipe:
+                pipe.write(json.dumps(entry).encode())
+            status = 0
+        except BrokenPipeError:
+            pass  # the parent is gone; nobody is left to read the entry
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+            sys.stderr.flush()
+        finally:
+            os._exit(status)  # never return into the caller's stack
+    os.close(wfd)
+    return pid, open(rfd, "rb")
 
 
 def _load_redirect_maps(config: PipelineConfig) -> dict[str, dict[str, str]]:

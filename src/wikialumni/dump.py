@@ -1,7 +1,9 @@
 """Streaming reader for MediaWiki pages-articles XML dumps.
 
 Pages are yielded one at a time; memory stays bounded by the largest
-single page regardless of dump size.  Plain XML, gzip and bz2 inputs are
+single page regardless of dump size.  Ingest streams each language in
+its own worker process, at most one per CPU in the affinity mask, so
+the bound holds per worker.  Plain XML, gzip and bz2 inputs are
 auto-detected from magic bytes.
 """
 

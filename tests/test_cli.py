@@ -8,7 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from wikialumni import alumni
+from wikialumni import alumni, cli
 from wikialumni.cli import (
     DATASET_NAME,
     ENRICHED_NAME,
@@ -29,6 +29,7 @@ from mini_corpus import (
     EXPECTED_DATASET,
     EXPECTED_UNIVERSITY_VIEWS,
     EXPECTED_VIEWS,
+    RU_PAGES,
     build_mini_project,
 )
 
@@ -45,6 +46,20 @@ def project(tmp_path):
 @pytest.fixture
 def config(project):
     return load_config(project)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose ingest never gets a worker's
+    result: SIGALRM after 60 s raises in the waiting parent."""
+    def expire(signum, frame):
+        raise TimeoutError("ingest did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def run_all(config):
@@ -332,3 +347,86 @@ def test_ingest_isolates_per_language_failure(project):
     manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
     assert manifest["languages"]["en"]["status"] == "ok"
     assert manifest["languages"]["ru"]["status"] == "error"
+
+
+def test_changed_dump_date_reingests(project):
+    page = dict(title="Zoe Later", page_id=50,
+                text="Zoe Later (2019 award winner) was born in 1971. She graduated.")
+    (project.parent / "en.xml").write_text(make_dump_xml([page]), encoding="utf-8")
+    config = load_config(project)
+    assert run_ingest(config, echo=quiet) == 0
+    person_dir = config.output_dir / "persons" / "en"
+    assert [p.name for p in person_dir.iterdir()] == ["page_50_1971.xml"]
+
+    text = project.read_text(encoding="utf-8")
+    project.write_text(text.replace('"2018-09-01"', '"2020-09-01"'), encoding="utf-8")
+    config = load_config(project)
+    with pytest.raises(ConfigError, match="no complete ingest manifest"):
+        run_extract(config, echo=quiet)
+    messages = []
+    assert run_ingest(config, echo=lambda *a, **k: messages.append(a[0])) == 0
+    assert not any("nothing to do" in m for m in messages)
+    assert [p.name for p in person_dir.iterdir()] == ["page_50_2019.xml"]
+    manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
+    assert manifest["languages"]["en"]["dump_date"] == "2020-09-01"
+
+
+def test_ingest_entry_larger_than_pipe_buffer(project, config):
+    cycles = []
+    for i in range(5000):
+        a, b = f"Cycle {i:04d} a", f"Cycle {i:04d} b"
+        cycles += [dict(title=a, page_id=10_000 + 2 * i, redirect=b),
+                   dict(title=b, page_id=10_001 + 2 * i, redirect=a)]
+    (project.parent / "ru.xml").write_text(make_dump_xml(RU_PAGES + cycles), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "wikialumni.cli", "ingest", "-c", str(project)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    unresolvable = json.loads(
+        (config.output_dir / MANIFEST_NAME).read_text()
+    )["languages"]["ru"]["unresolvable_redirects"]
+    assert len(unresolvable) == 10_000
+    assert len(json.dumps(unresolvable)) > 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "lang, death", [("en", "exit"), ("ru", "exit"), ("en", "sigkill"), ("ru", "sigkill")]
+)
+def test_dead_worker_is_one_error_line(project, config, monkeypatch, deadline, lang, death):
+    ingest_language = cli._ingest_language
+
+    def dying(lang_cfg, out, analysis_year):
+        if lang_cfg.code == lang:
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return ingest_language(lang_cfg, out, analysis_year)
+
+    monkeypatch.setattr(cli, "_ingest_language", dying)
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    how = "exited with status 3" if death == "exit" else f"killed by signal {signal.SIGKILL.value}"
+    assert line == f"error: ingest worker for {lang} {how} without a result"
+    assert not (config.output_dir / MANIFEST_NAME).exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_width_does_not_change_outputs(tmp_path, monkeypatch, deadline):
+    runs = []
+    for width in ("default", "one"):
+        if width == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        config = load_config(build_mini_project(tmp_path / width))
+        lines = []
+        assert run_ingest(config, echo=lambda msg, err=False: lines.append(msg)) == 0
+        out = config.output_dir
+        files = {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        }
+        runs.append((files, lines))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == ["ingest: en: 29 pages, 6 persons", "ingest: ru: 8 pages, 1 persons"]

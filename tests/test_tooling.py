@@ -82,13 +82,14 @@ def test_view_cache_is_one_database_file(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy():
+    heavy = ("scipy", "numpy", "multiprocessing", "concurrent.futures")
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, wikialumni.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"],
+         f"import sys, wikialumni.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False False"
+    assert result.stdout.strip() == "[]"
 
 
 # Public names that nothing in src/ reads, each kept for a reason.
