@@ -3,6 +3,9 @@
 A sentence is everything up to a full stop, except that a '.' inside a
 wiki link ("[[St. Andrews]]") never splits.  A sentence containing a
 trigger word contributes one record per university link it holds.
+Extract scans each page once for trigger hits and splits out only the
+sentences that hold one; a phrase that contains '.' still matches only
+inside one sentence.
 """
 
 from __future__ import annotations
@@ -47,35 +50,59 @@ class Sentence:
     links: tuple[str, ...]
 
 
-_SPLIT_TOKEN = re.compile(r"\[\[|\]\]|\.")
+# A link with no brackets inside leaves the depth unchanged and hides its
+# full stops, so it is one token; the walk then gives the same splits.
+_SPLIT_TOKEN = re.compile(r"\[\[[^\[\]]*\]\]|\[\[|\]\]|\.")
 
 
-def split_sentences(wikitext: str) -> list[Sentence]:
+def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> list[Sentence]:
     """Split at full stops outside [[...]]; each sentence carries its
     link targets in order of appearance.  A ']]' with no open link is
-    plain text."""
-    sentences: list[str] = []
+    plain text.
+
+    With ``containing``, return only the sentences that hold one of those
+    character offsets; the walk stops after the sentence of the last."""
+    hits = None
+    if containing is not None:
+        hits = sorted(h for h in set(containing) if 0 <= h < len(wikitext))
+        if not hits:
+            return []
+    spans: list[tuple[int, int]] = []
+    i = 0  # next offset in hits; every earlier one lies before ``start``
     depth = 0
     start = 0
     for token in _SPLIT_TOKEN.finditer(wikitext):
         kind = token.group()
-        if kind == "[[":
-            depth += 1
-        elif kind == "]]":
-            if depth > 0:
-                depth -= 1
-        elif depth == 0:
+        if kind == ".":
+            if depth:
+                continue
             end = token.end()
-            sentences.append(wikitext[start:end])
+            if hits is None:
+                spans.append((start, end))
+            elif hits[i] < end:
+                spans.append((start, end))
+                while i < len(hits) and hits[i] < end:
+                    i += 1
+                if i == len(hits):
+                    return _sentences(wikitext, spans)
             start = end
+        elif kind == "[[":
+            depth += 1
+        elif kind == "]]" and depth:
+            depth -= 1
+    # the tail after the last full stop is a sentence unless it is blank;
+    # a text with no splitting full stop is one sentence as it stands.  Any hit not
+    # yet passed lies in the tail.
     tail = wikitext[start:]
-    if tail.strip():
-        sentences.append(tail)
-    if not sentences and wikitext:
-        sentences.append(wikitext)
+    if tail and (start == 0 or tail.strip()):
+        spans.append((start, len(wikitext)))
+    return _sentences(wikitext, spans)
 
+
+def _sentences(wikitext: str, spans: list[tuple[int, int]]) -> list[Sentence]:
     out = []
-    for text in sentences:
+    for start, end in spans:
+        text = wikitext[start:end]
         links = tuple(m.group(1).split("|", 1)[0] for m in _LINK.finditer(text))
         out.append(Sentence(text=text, links=links))
     return out
@@ -85,15 +112,28 @@ def split_sentences(wikitext: str) -> list[Sentence]:
 def _trigger_patterns(
     phrases: tuple[str, ...],
 ) -> tuple[re.Pattern[str], tuple[tuple[str, re.Pattern[str]], ...]]:
-    """One alternation over all phrases, and one pattern per phrase.
+    """A prefilter over all phrases, and one pattern per phrase.
 
-    The alternation matches exactly when some phrase's own pattern does:
-    at each position it tries every phrase before moving on."""
-    def bounded(body: str) -> re.Pattern[str]:
-        return re.compile(r"(?<!\w)(?:" + body + r")(?!\w)", re.IGNORECASE)
+    The prefilter alternates each phrase's head, the part before its
+    first '.', so a hit never spans a sentence end.  Wherever a phrase
+    matches, inside a sentence or in the whole text, its head matches at
+    the same offset: the character before a sentence is a '.', and a
+    head that stops short of its phrase is followed by that phrase's
+    '.'.  The prefilter therefore rejects only text in which no phrase
+    matches."""
+    def bounded(body: str) -> str:
+        return r"(?<!\w)(?:" + body + r")(?!\w)"
 
-    each = tuple((phrase, bounded(re.escape(phrase))) for phrase in phrases)
-    return bounded("|".join(re.escape(phrase) for phrase in phrases)), each
+    heads = dict.fromkeys(phrase.split(".", 1)[0] for phrase in phrases)
+    prefilter = bounded("|".join(re.escape(head) for head in heads))
+    if heads and all(heads):
+        # cheap first-character test before the alternation; exact under IGNORECASE
+        firsts = "".join(re.escape(c) for c in dict.fromkeys(head[0] for head in heads))
+        prefilter = "(?=[" + firsts + "])" + prefilter
+    each = tuple(
+        (phrase, re.compile(bounded(re.escape(phrase)), re.IGNORECASE)) for phrase in phrases
+    )
+    return re.compile(prefilter, re.IGNORECASE), each
 
 
 def find_trigger(sentence: str, dictionary: MarkerDictionary) -> str | None:
@@ -111,10 +151,17 @@ def match_alumni(
     person: PersonPage, registry: Registry, dictionary: MarkerDictionary
 ) -> list[AlumniRecord]:
     """Emit one record per (person, university) pair found in a
-    trigger-bearing sentence; duplicates across sentences are merged."""
+    trigger-bearing sentence; duplicates across sentences are merged.
+
+    One prefilter scan of the page finds the offsets where a trigger may
+    start; only the sentences holding one are split out and tested."""
     page = person.page
+    prefilter = _trigger_patterns(dictionary.trigger_words)[0]
+    hits = [m.start() for m in prefilter.finditer(page.wikitext)]
+    if not hits:
+        return []
     records: dict[int, AlumniRecord] = {}
-    for sentence in split_sentences(page.wikitext):
+    for sentence in split_sentences(page.wikitext, containing=hits):
         trigger = find_trigger(sentence.text, dictionary)
         if trigger is None:
             continue

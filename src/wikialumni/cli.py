@@ -220,9 +220,11 @@ def _fork_worker(lang_cfg: LanguageConfig, config: PipelineConfig) -> tuple[int,
             status = 0
         except BrokenPipeError:
             pass  # the parent is gone; nobody is left to read the entry
-        except Exception:
-            sys.excepthook(*sys.exc_info())
-            sys.stderr.flush()
+        except Exception as exc:
+            import traceback  # only a failing child pays for the import
+
+            # one write, so a sibling killed mid-report prints all or nothing
+            os.write(2, "".join(traceback.format_exception(exc)).encode(errors="backslashreplace"))
         finally:
             os._exit(status)  # never return into the caller's stack
     os.close(wfd)

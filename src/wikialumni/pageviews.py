@@ -13,6 +13,7 @@ import json
 import sqlite3
 import time
 import urllib.parse
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -219,6 +220,9 @@ class ViewCache:
             if self._db is not None:
                 self._db.close()
             raise WikiAlumniError(f"{path}: unusable pageview cache: {exc}") from exc
+        # the connection sits in a reference cycle with its statement cache,
+        # so a cache dropped without close() would hold its files until gc
+        self._close = weakref.finalize(self, self._db.close)
 
     def get(self, key: tuple[str, str, str, str, int]) -> str | None:
         """The value under (backend, kind, lang, title, year), or None."""
@@ -232,7 +236,7 @@ class ViewCache:
         self._db.execute("INSERT OR REPLACE INTO lookups VALUES (?, ?, ?, ?, ?, ?)", (*key, value))
 
     def close(self) -> None:
-        self._db.close()
+        self._close()
 
 
 class ViewClient:

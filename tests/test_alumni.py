@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wikialumni import alumni
 from wikialumni.alumni import (
     AlumniRecord,
     Sentence,
@@ -309,3 +310,104 @@ def test_no_duplicate_triples_in_output(tmp_path):
     merged = merge_records(records)
     keys = [r.key() for r in merged]
     assert len(keys) == len(set(keys)) == len(TABLE45)
+
+
+def per_sentence_match(person, registry, dictionary):
+    """match_alumni as it was before the page-wide prefilter: every
+    sentence split out and tested, with the per-character splitter and
+    the per-phrase trigger loop above, kept as the oracle."""
+    page = person.page
+    records = {}
+    for sentence in per_char_split(page.wikitext):
+        trigger = per_phrase_trigger(sentence.text, dictionary.trigger_words)
+        if trigger is None:
+            continue
+        for target in sentence.links:
+            uid = registry.resolve_link(target, page.lang)
+            if uid is None or uid in records:
+                continue
+            records[uid] = AlumniRecord(
+                university_id=uid,
+                university_name=registry.name_of(uid),
+                person_link=page.title,
+                birth_year=person.birth_year,
+                lang=page.lang,
+                sentence=sentence.text.strip(),
+                trigger=trigger,
+            )
+    return list(records.values())
+
+
+@pytest.fixture(scope="module")
+def dotted_registry(tmp_path_factory):
+    rows = [
+        (1, "Univ A", "en", "Univ A"),
+        (2, "University of St. Andrews", "en", "St. Andrews"),
+        (3, "Univ B", "en", "Univ B"),
+    ]
+    return load_registry(write_universities_file(tmp_path_factory.mktemp("reg") / "u.tsv", rows))
+
+
+# phrases may start with, end with or contain '.'; İ ı ſ fold to i and s
+# under re.IGNORECASE
+PHRASE_ALPHABET = list("ahipsİıſ. ")
+TEXT_PIECES = [".", " ", "[[", "]]", "|", "İ", "ı", "ſ", "a", "h", "i", "p", "s", "D", "x ",
+               "[[Univ A]]", "[[St. Andrews]]", "[[Univ B|b.]]", "[[univ A|A]]", "[[Nowhere]]"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_match_alumni_equals_per_sentence_oracle(dotted_registry, data):
+    phrases = data.draw(st.lists(st.text(alphabet=PHRASE_ALPHABET, min_size=1, max_size=4),
+                                 min_size=1, max_size=4))
+    pieces = st.sampled_from(TEXT_PIECES + phrases)
+    text = "".join(data.draw(st.lists(pieces, max_size=30)))
+    dictionary = MarkerDictionary("en", ("born",), tuple(phrases))
+    page = person(text)
+    assert match_alumni(page, dotted_registry, dictionary) == per_sentence_match(
+        page, dotted_registry, dictionary
+    )
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_split_containing_keeps_sentences_holding_an_offset(data):
+    pieces = st.sampled_from([".", "a", " ", "\n", "|", "[[", "]]", "[[a]]", "[[a.b]]"])
+    text = "".join(data.draw(st.lists(pieces, max_size=25)))
+    offsets = data.draw(st.lists(st.integers(-2, len(text) + 2), max_size=4))
+    expected = []
+    start = 0
+    for sentence in per_char_split(text):
+        end = start + len(sentence.text)
+        if any(start <= off < end for off in offsets):
+            expected.append(sentence)
+        start = end
+    assert split_sentences(text, containing=offsets) == expected
+
+
+def test_trigger_ending_in_full_stop(registry):
+    # the phrase matches at the very end of its sentence, where the
+    # sentence's last '.' is the phrase's; in the whole text 'D' follows
+    dictionary = MarkerDictionary("en", ("born",), ("ph.",))
+    text = "At [[Univ A]] he got a Ph.D. in 1990."
+    records = match_alumni(person(text), registry, dictionary)
+    assert [(r.university_name, r.sentence, r.trigger) for r in records] == [
+        ("Univ A", "At [[Univ A]] he got a Ph.", "ph.")
+    ]
+
+
+def test_find_trigger_runs_only_on_trigger_sentences(registry, monkeypatch):
+    calls = []
+    real = alumni.find_trigger
+    monkeypatch.setattr(alumni, "find_trigger", lambda s, d: calls.append(s) or real(s, d))
+    sentences = [f"He lived near [[Nowhere]] in year {i}." for i in range(2000)]
+    sentences[100] = "He graduated from [[Univ A]]."
+    sentences[1000] = "She studied at [[Univ B]] for a year."
+    sentences[1999] = "Then he received degree at [[Northwestern University]]."
+    text = " ".join(sentences)
+    assert len(split_sentences(text)) == 2000
+    records = match_alumni(person(text), registry, DICT)
+    assert sorted(r.university_name for r in records) == [
+        "Northwestern University", "Univ A", "Univ B"
+    ]
+    assert len(calls) <= 3

@@ -414,6 +414,21 @@ def test_dead_worker_is_one_error_line(project, config, monkeypatch, deadline, l
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_failed_workers_print_whole_tracebacks(project, monkeypatch, deadline, capfd):
+    def failing(lang_cfg, out, analysis_year):
+        raise RuntimeError(f"boom-{lang_cfg.code}")
+
+    monkeypatch.setattr(cli, "_ingest_language", failing)
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 1
+    # the en worker is awaited first; ru may be killed before it reports
+    err = capfd.readouterr().err.splitlines()
+    assert "RuntimeError: boom-en" in err
+    assert err.count("Traceback (most recent call last):") == sum(
+        line.startswith("RuntimeError: boom-") for line in err
+    )
+
+
 def test_worker_width_does_not_change_outputs(tmp_path, monkeypatch, deadline):
     runs = []
     for width in ("default", "one"):

@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -150,6 +151,27 @@ def test_damaged_cache_names_the_file_and_keeps_no_descriptor(tmp_path, damage):
     with pytest.raises(WikiAlumniError, match="pageviews.sqlite"):
         ViewCache(tmp_path / "cache")
     assert str(path) not in open_files()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_cache_closes_its_files_without_gc(tmp_path):
+    path = str(tmp_path / "cache" / "pageviews.sqlite")
+    db_files = {path, path + "-wal", path + "-shm"}
+    gc.disable()
+    try:
+        cache = ViewCache(tmp_path / "cache")
+        cache.put(("fixture:", "views", "en", "A", 2017), "[5, false]")
+        assert db_files <= set(open_files())
+        del cache
+        assert not db_files & set(open_files())
+    finally:
+        gc.enable()
+
+
+def test_close_twice_is_a_no_op(tmp_path):
+    cache = ViewCache(tmp_path / "cache")
+    cache.close()
+    cache.close()
 
 
 def test_rate_limiter_spacing():
