@@ -23,6 +23,8 @@ from .tsv import read_tsv, write_tsv
 METHOD_SPEARMAN = "spearman"
 METHOD_PEARSON = "pearson_on_scores"
 
+MAX_UNMAPPED_FRACTION = 0.2  # of an external ranking's rows
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -110,15 +112,9 @@ def describe(records: Sequence[AlumniRecord]) -> DescriptiveStats:
     )
 
 
-def rank_universities(
-    records: Iterable[AlumniRecord],
-    spec: FilterSpec | None = None,
-    name: str = "",
-) -> Ranking:
-    """Rank by exact integer sum of views_total per university over the
-    records surviving the filter."""
-    if spec is not None:
-        records = apply_filter(records, spec)
+def rank_universities(records: Iterable[AlumniRecord], name: str = "") -> Ranking:
+    """Rank by exact integer sum of views_total per university; records
+    without views_total are skipped."""
     sums: dict[int, int] = {}
     names: dict[int, str] = {}
     for rec in records:
@@ -235,7 +231,6 @@ def load_external_ranking(
     name: str,
     registry: Registry,
     mapping_file: str | Path,
-    max_unmapped_fraction: float = 0.2,
 ) -> tuple[Ranking, list[str]]:
     """Load an external ranking aligned to registry ids.
 
@@ -265,10 +260,10 @@ def load_external_ranking(
             continue
         scores[uid] = -value if is_rank else value
         names[uid] = registry.name_of(uid)
-    if rows and len(unmapped) / len(rows) > max_unmapped_fraction:
+    if rows and len(unmapped) / len(rows) > MAX_UNMAPPED_FRACTION:
         raise ExternalRankingError(
             f"{ranking_file}: {len(unmapped)}/{len(rows)} names unmapped "
-            f"(limit {max_unmapped_fraction:.0%}): {unmapped[:5]}"
+            f"(limit {MAX_UNMAPPED_FRACTION:.0%}): {unmapped[:5]}"
         )
     ranking = ranking_from_scores(scores, names, name=name)
     return ranking, unmapped

@@ -75,7 +75,7 @@ def _load_manifest(config: PipelineConfig) -> dict | None:
         return None
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -232,11 +232,13 @@ def _fork_worker(lang_cfg: LanguageConfig, config: PipelineConfig) -> tuple[int,
 
 
 def _load_redirect_maps(config: PipelineConfig) -> dict[str, dict[str, str]]:
-    maps: dict[str, dict[str, str]] = {}
-    for lang_cfg in config.languages:
-        path = config.output_dir / "redirects" / f"{lang_cfg.code}.tsv"
-        maps[lang_cfg.code] = dict(read_tsv(path, n_cols=2)[1]) if path.exists() else {}
-    return maps
+    """Every language's redirect map; ingest writes one for each, so a
+    missing one is a damaged output dir."""
+    redirects = config.output_dir / "redirects"
+    return {
+        lang.code: dict(read_tsv(redirects / f"{lang.code}.tsv", n_cols=2)[1])
+        for lang in config.languages
+    }
 
 
 def run_extract(config: PipelineConfig, echo=click.echo) -> int:
@@ -253,7 +255,8 @@ def run_extract(config: PipelineConfig, echo=click.echo) -> int:
     for lang_cfg in config.languages:
         dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
         person_dir = out / "persons" / lang_cfg.code
-        for path in sorted(person_dir.glob("page_*.xml")):
+        # iterdir, unlike glob, fails on a missing directory
+        for path in sorted(p for p in person_dir.iterdir() if p.match("page_*.xml")):
             try:
                 person = persons.load_person_file(path, lang_cfg.code)
             except Exception as exc:
@@ -355,7 +358,7 @@ def run_report(config: PipelineConfig, echo=click.echo) -> int:
             (nf.name, str(stats.n_alumni), str(stats.n_universities),
              _fmt(stats.mean_views), _fmt(stats.median_views), _fmt(stats.stddev_views))
         )
-        ranking = analytics.rank_universities(records, nf.spec, name=nf.name)
+        ranking = analytics.rank_universities(surviving, name=nf.name)
         rankings.append(ranking)
         _write_ranking(ranking, registry, reports / f"ranking_{nf.name}.tsv", provenance)
     write_tsv(reports / "stats.tsv", STATS_COLUMNS, stats_rows, comments=provenance)
@@ -442,7 +445,8 @@ def _run(step, config_path: str) -> None:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    except (WikiAlumniError, ValueError) as exc:  # ValueError: a malformed artifact
+    # ValueError: a malformed artifact; OSError: a missing or unreadable one
+    except (WikiAlumniError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(code)

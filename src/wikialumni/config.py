@@ -28,7 +28,7 @@ class LanguageConfig:
     code: str
     dump: Path
     dictionary: Path
-    dump_date: str = ""
+    dump_date: str  # '' when not configured
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,18 @@ class PipelineConfig:
     universities_file: Path
     output_dir: Path
     cache_dir: Path
-    analysis_year: int = 2017
-    pageview_mode: str = MODE_FIXTURE
-    fixture_views: Path | None = None
-    fixture_langlinks: Path | None = None
-    rate_limit: float = 1.0
-    agent: str = "all-agents"
-    correlation_method: str = METHOD_SPEARMAN
-    filters: tuple[NamedFilter, ...] = ()
-    external_rankings: tuple[ExternalRankingConfig, ...] = ()
-    audit_rate: float = 0.05
-    audit_seed: int = 0
-    config_hash: str = ""
+    analysis_year: int
+    pageview_mode: str
+    fixture_views: Path | None
+    fixture_langlinks: Path | None
+    rate_limit: float
+    agent: str
+    correlation_method: str
+    filters: tuple[NamedFilter, ...]
+    external_rankings: tuple[ExternalRankingConfig, ...]
+    audit_rate: float
+    audit_seed: int
+    config_hash: str
 
 
 def dump_year(lang: LanguageConfig) -> int | None:
@@ -203,14 +203,21 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def validate_preflight(config: PipelineConfig) -> None:
+    """Fail at load, not mid-stage, on any configured input file that is
+    missing."""
     for lang in config.languages:
-        if not lang.dump.exists():
-            raise ConfigError(f"dump for {lang.code!r} not found: {lang.dump}")
-        if not lang.dictionary.exists():
-            raise ConfigError(
-                f"dictionary for {lang.code!r} not found: {lang.dictionary}"
-            )
-    if not config.universities_file.exists():
-        raise ConfigError(f"universities file not found: {config.universities_file}")
+        _require(lang.dump, f"dump for {lang.code!r}")
+        _require(lang.dictionary, f"dictionary for {lang.code!r}")
+    _require(config.universities_file, "universities file")
     if config.pageview_mode == MODE_FIXTURE and config.fixture_views is None:
         raise ConfigError("fixture mode requires pageviews.fixture_views")
+    _require(config.fixture_views, "pageviews.fixture_views")
+    _require(config.fixture_langlinks, "pageviews.fixture_langlinks")
+    for ext in config.external_rankings:
+        _require(ext.file, f"file of external ranking {ext.name!r}")
+        _require(ext.mapping, f"mapping of external ranking {ext.name!r}")
+
+
+def _require(path: Path | None, key: str) -> None:
+    if path is not None and not path.exists():
+        raise ConfigError(f"{key} not found: {path}")

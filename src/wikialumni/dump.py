@@ -23,6 +23,8 @@ _BZ2_MAGIC = b"BZh"
 # zstd / lzma / 7z signatures we recognize but do not decompress
 _KNOWN_OTHER = {b"\x28\xb5\x2f\xfd": "zstd", b"\xfd7zX": "xz", b"7z\xbc\xaf": "7z"}
 
+MAX_REDIRECT_HOPS = 16  # longer chains count as unresolvable
+
 
 @dataclass(frozen=True)
 class WikiPage:
@@ -160,14 +162,14 @@ def _byte_offset(stream: IO[bytes], exc: etree.ParseError) -> int | str:
 
 
 def collect_redirects(
-    redirects: Iterable[tuple[str, str]], max_hops: int = 16
+    redirects: Iterable[tuple[str, str]],
 ) -> tuple[dict[str, str], set[str]]:
     """Resolve redirect titles to their final non-redirect target.
 
     redirects holds one (title, redirect target) pair per redirect page.
     Returns (mapping, unresolvable).  The mapping is the transitive
     closure; titles on a redirect cycle or on chains longer than
-    max_hops are reported in the unresolvable set and kept out of the
+    MAX_REDIRECT_HOPS are reported in the unresolvable set and kept out of the
     mapping.
     """
     direct = dict(redirects)
@@ -177,7 +179,7 @@ def collect_redirects(
     for start in direct:
         seen = [start]
         current = start
-        for _ in range(max_hops):
+        for _ in range(MAX_REDIRECT_HOPS):
             current = direct[current]
             if current not in direct:
                 resolved[start] = current

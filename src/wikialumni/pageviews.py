@@ -14,7 +14,7 @@ import sqlite3
 import time
 import urllib.parse
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -25,7 +25,6 @@ from .tsv import read_tsv
 
 SOURCE_LIVE = "live_api"
 SOURCE_FIXTURE = "fixture"
-SOURCE_CACHE = "cache"
 
 PAGEVIEWS_URL = (
     "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-article/"
@@ -33,12 +32,8 @@ PAGEVIEWS_URL = (
 )
 LANGLINKS_URL = "https://{lang}.wikipedia.org/w/api.php"
 
-
-@dataclass(frozen=True)
-class PageViewStat:
-    total: int
-    source: str
-    missing: bool = False  # no data for the page (404-equivalent)
+RETRIES = 3  # attempts per live request
+BACKOFF_BASE_S = 1.0  # sleep before retry n (from 0) is BACKOFF_BASE_S * 2**n
 
 
 class Backend(Protocol):
@@ -114,19 +109,9 @@ class LiveBackend:
 
     source = SOURCE_LIVE
 
-    def __init__(
-        self,
-        rate_limiter: RateLimiter | None = None,
-        session=None,
-        retries: int = 3,
-        backoff_base: float = 1.0,
-        agent: str = "all-agents",
-        sleep=time.sleep,
-    ):
-        self.rate_limiter = rate_limiter or RateLimiter(1.0)
+    def __init__(self, rate_limiter: RateLimiter, agent: str, session=None, sleep=time.sleep):
+        self.rate_limiter = rate_limiter
         self._session = session
-        self.retries = retries
-        self.backoff_base = backoff_base
         self.agent = agent
         self._sleep = sleep
         self.request_count = 0
@@ -143,7 +128,7 @@ class LiveBackend:
         """GET and decode JSON; None on 404.  Transport errors, 5xx and
         429 are retried; every other failure raises FetchError."""
         last_exc = None
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             self.rate_limiter.wait()
             self.request_count += 1
             try:
@@ -161,9 +146,9 @@ class LiveBackend:
                 last_exc = FetchError(f"HTTP {resp.status_code} from {url}")
                 if resp.status_code != 429 and resp.status_code < 500:
                     raise last_exc
-            if attempt + 1 < self.retries:
-                self._sleep(self.backoff_base * 2**attempt)
-        raise FetchError(f"request failed after {self.retries} attempts: {url}") from last_exc
+            if attempt + 1 < RETRIES:
+                self._sleep(BACKOFF_BASE_S * 2**attempt)
+        raise FetchError(f"request failed after {RETRIES} attempts: {url}") from last_exc
 
     def get_views(self, title: str, lang: str, year: int) -> tuple[int, bool]:
         url = PAGEVIEWS_URL.format(
@@ -242,29 +227,28 @@ class ViewCache:
 class ViewClient:
     """Backend + cache front door used by the pipeline."""
 
-    def __init__(self, backend: Backend, cache: ViewCache | None = None):
+    def __init__(self, backend: Backend, cache: ViewCache):
         self.backend = backend
         self.cache = cache
 
     def _lookup(self, kind: str, lang: str, title: str, year: int, call):
-        """(value, source) of one lookup: the value cached for this backend if
-        any, else call()'s, cached as JSON text so a cached None is a hit too.
-        Language links use year 0, since a NULL key column never matches."""
-        if self.cache is None:
-            return call(), self.backend.source
+        """The value cached for this backend if any, else call()'s, cached
+        as JSON text so a cached None is a hit too.  Language links use
+        year 0, since a NULL key column never matches."""
         key = (f"{self.backend.source}:{self.backend.agent}", kind, lang, title, year)
         hit = self.cache.get(key)
         if hit is not None:
-            return json.loads(hit), SOURCE_CACHE
+            return json.loads(hit)
         value = call()
         self.cache.put(key, json.dumps(value))
-        return value, self.backend.source
+        return value
 
-    def fetch_views(self, title: str, lang: str, year: int) -> PageViewStat:
-        (total, missing), source = self._lookup(
+    def fetch_views(self, title: str, lang: str, year: int) -> int:
+        """The page's views in year; 0 for a page with no data.  The cache
+        keeps the backend's whole (total, missing) pair."""
+        return self._lookup(
             "views", lang, title, year, lambda: self.backend.get_views(title, lang, year)
-        )
-        return PageViewStat(total, source, missing)
+        )[0]
 
     def resolve_english(self, title: str, lang: str) -> str | None:
         """The English counterpart's title, or None if there is none."""
@@ -272,7 +256,7 @@ class ViewClient:
             raise ValueError("resolve_english is for non-English records")
         return self._lookup(
             "enlink", lang, title, 0, lambda: self.backend.get_english_title(title, lang)
-        )[0]
+        )
 
 
 def enrich_records(
@@ -289,9 +273,9 @@ def enrich_records(
             title_en = rec.person_link_en
             if rec.lang != "en" and title_en is None:
                 title_en = client.resolve_english(rec.person_link, rec.lang)
-            total = client.fetch_views(rec.person_link, rec.lang, year).total
+            total = client.fetch_views(rec.person_link, rec.lang, year)
             if rec.lang != "en" and title_en and title_en != rec.person_link:
-                total += client.fetch_views(title_en, "en", year).total
+                total += client.fetch_views(title_en, "en", year)
             out.append(replace(rec, person_link_en=title_en, views_total=total))
         except FetchError:
             out.append(replace(rec, unresolved=True, views_total=None))
@@ -307,6 +291,6 @@ def university_views(
     for uid, uni in sorted(registry.universities.items()):
         total = 0
         for lang, title in sorted(uni.canonical_titles.items()):
-            total += client.fetch_views(title, lang, year).total
+            total += client.fetch_views(title, lang, year)
         totals[uid] = total
     return totals

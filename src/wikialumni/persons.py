@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .dump import WikiPage
 from .registry import MarkerDictionary
@@ -55,25 +54,25 @@ def person_filename(page_id: int, birth_year: int | None) -> str:
     return f"page_{page_id}_{year}.xml"
 
 
+def _escape(text: str) -> str:
+    """XML character data, escaped as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def persist_person(person: PersonPage, out_dir: str | Path) -> Path:
-    """Write the page element to page_<id>_<year>.xml; idempotent."""
+    """Write the page element to page_<id>_<year>.xml; idempotent.
+    Ingest persists no redirect page, so there is no <redirect> element."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / person_filename(person.page.page_id, person.birth_year)
     page = person.page
-    redirect = (
-        f'  <redirect title="{escape(page.redirect_target, {chr(34): "&quot;"})}" />\n'
-        if page.redirect_target is not None
-        else ""
-    )
     body = (
         "<page>\n"
-        f"  <title>{escape(page.title)}</title>\n"
+        f"  <title>{_escape(page.title)}</title>\n"
         f"  <ns>{page.namespace}</ns>\n"
         f"  <id>{page.page_id}</id>\n"
-        f"{redirect}"
         "  <revision>\n"
-        f"    <text>{escape(page.wikitext)}</text>\n"
+        f"    <text>{_escape(page.wikitext)}</text>\n"
         "  </revision>\n"
         "</page>\n"
     )
@@ -87,14 +86,11 @@ def load_person_file(path: str | Path, lang: str) -> PersonPage:
 
     path = Path(path)
     root = etree.fromstring(path.read_text(encoding="utf-8"))
-    redirect_el = root.find("redirect")
     page = WikiPage(
         title=root.findtext("title", ""),
         lang=lang,
         namespace=int(root.findtext("ns", "0")),
-        redirect_target=(
-            redirect_el.attrib.get("title", "") if redirect_el is not None else None
-        ),
+        redirect_target=None,
         wikitext=root.findtext("revision/text", "") or "",
         page_id=int(root.findtext("id", "-1")),
     )

@@ -78,9 +78,6 @@ class Registry:
                         )
                     self._index[key] = uni.id
 
-    def __len__(self) -> int:
-        return len(self.universities)
-
     def resolve_link(self, target_title: str, lang: str) -> int | None:
         """Return the university id for a link target, or None on miss."""
         return self._index.get((lang, normalize_title(target_title)))
@@ -156,7 +153,11 @@ def load_dictionary(path: str | Path, lang: str) -> MarkerDictionary:
     sections: dict[str, list[str]] = {"person_markers": [], "trigger_words": []}
     current: list[str] | None = None
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DictionaryError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -59,29 +59,34 @@ def read_tsv(
     of them; it is returned as header and fixes the column count.
     Otherwise header is None and n_cols, if given, fixes it.  Each row is
     parse(fields).  A mismatch, or a ValueError from parse, raises error
-    with path:lineno.
+    with path:lineno; a file that is not UTF-8 raises error with path.
     """
     path = Path(path)
     header: list[str] | None = None
     rows: list[list[str]] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if headers is not None and header is None:
-                if fields not in headers:
-                    raise error(f"{path}:{lineno}: expected a header in {headers}, got {fields}")
-                header = fields
-                n_cols = len(fields)
-            elif n_cols is not None and len(fields) != n_cols:
-                raise error(f"{path}:{lineno}: expected {n_cols} columns, got {len(fields)}")
-            else:
-                try:
-                    rows.append(parse(fields))
-                except ValueError as exc:
-                    raise error(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if headers is not None and header is None:
+                    if fields not in headers:
+                        raise error(
+                            f"{path}:{lineno}: expected a header in {headers}, got {fields}"
+                        )
+                    header = fields
+                    n_cols = len(fields)
+                elif n_cols is not None and len(fields) != n_cols:
+                    raise error(f"{path}:{lineno}: expected {n_cols} columns, got {len(fields)}")
+                else:
+                    try:
+                        rows.append(parse(fields))
+                    except ValueError as exc:
+                        raise error(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
     if headers is not None and header is None:
         raise error(f"{path}: no header row; expected one of {headers}")
     return header, rows

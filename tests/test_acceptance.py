@@ -202,14 +202,16 @@ def test_criterion_7_hermetic_fixture_and_warm_cache(tmp_path, monkeypatch):
 
     cache = ViewCache(tmp_path / "live_cache")
     warm_session = CountingSession()
-    live = LiveBackend(rate_limiter=RateLimiter(0), session=warm_session)
+    live = LiveBackend(rate_limiter=RateLimiter(0), agent="all-agents", session=warm_session)
     client = ViewClient(live, cache)
-    assert client.fetch_views("Some Page", "en", 2017).total == 3
+    assert client.fetch_views("Some Page", "en", 2017) == 3
     assert warm_session.calls == 1
 
     cold_session = CountingSession()
-    rerun = ViewClient(LiveBackend(rate_limiter=RateLimiter(0), session=cold_session), cache)
-    assert rerun.fetch_views("Some Page", "en", 2017).total == 3
+    rerun = ViewClient(
+        LiveBackend(rate_limiter=RateLimiter(0), agent="all-agents", session=cold_session), cache
+    )
+    assert rerun.fetch_views("Some Page", "en", 2017) == 3
     assert cold_session.calls == 0
     ok(7, "fixture pipeline ran with sockets disabled; warm-cache live re-run made 0 requests")
 

@@ -286,7 +286,7 @@ def test_nested_cohorts_all_positive():
                                year=year, views=views))
     cohorts = [None, 1900, 1948, 1965, 1980]
     rankings = [
-        rank_universities(records, FilterSpec(min_birth_year=y) if y else FilterSpec())
+        rank_universities(apply_filter(records, FilterSpec(min_birth_year=y)))
         for y in cohorts
     ]
     m = correlation_matrix(rankings)
@@ -348,9 +348,7 @@ def test_external_too_many_unmapped(tmp_path, ext_registry):
     rows = [("A", 1), ("B", 2), ("C", 3), ("D", 4)]
     mapping = write_mapping(tmp_path, [("A", 1), ("B", 2), ("C", 3)])
     with pytest.raises(ExternalRankingError):
-        load_external_ranking(
-            write_ext(tmp_path, rows), "QS", ext_registry, mapping, max_unmapped_fraction=0.2
-        )
+        load_external_ranking(write_ext(tmp_path, rows), "QS", ext_registry, mapping)
 
 
 def test_external_score_header(tmp_path, ext_registry):

@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -338,6 +339,63 @@ def test_banded_external_rank_names_file_and_line(project, config):
     assert result.exit_code == 1
     (line,) = result.output.splitlines()
     assert line.startswith("error: ") and "external.tsv:3:" in line
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("views.tsv", "pageviews.fixture_views"),
+        ("langlinks.tsv", "pageviews.fixture_langlinks"),
+        ("external.tsv", "file of external ranking 'QS-like'"),
+        ("external_map.tsv", "mapping of external ranking 'QS-like'"),
+    ],
+)
+def test_missing_configured_file_fails_at_load(project, config, name, key):
+    (project.parent / name).unlink()
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line == f"config error: {key} not found: {project.parent / name}"
+    assert not config.output_dir.exists()
+
+
+@pytest.mark.parametrize("damage", ["redirects/en.tsv", "persons/ru"])
+def test_damaged_output_dir_is_one_error_line(project, config, damage):
+    run_ingest(config, echo=quiet)
+    path = config.output_dir / damage
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    result = CliRunner().invoke(main, ["extract", "-c", str(project)])
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+    assert not (config.output_dir / DATASET_NAME).exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, stages",
+    [
+        ("ingest", "en_dict.txt", ()),
+        ("extract", "universities.tsv", (run_ingest,)),
+        ("extract", f"out/{MANIFEST_NAME}", (run_ingest,)),
+        ("views", "views.tsv", (run_ingest, run_extract)),
+    ],
+)
+def test_invalid_utf8_names_the_file(project, config, command, name, stages):
+    for stage in stages:
+        assert stage(config, echo=quiet) == 0
+    with open(project.parent / name, "ab") as fh:
+        fh.write(b"\xff\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "wikialumni.cli", command, "-c", str(project)],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert str(project.parent / name) in result.stderr
+    assert "can't decode byte 0xff" in result.stderr
 
 
 def test_ingest_isolates_per_language_failure(project):

@@ -6,9 +6,6 @@ import pytest
 from wikialumni.alumni import AlumniRecord
 from wikialumni.errors import FetchError, WikiAlumniError
 from wikialumni.pageviews import (
-    SOURCE_CACHE,
-    SOURCE_FIXTURE,
-    SOURCE_LIVE,
     FixtureBackend,
     LiveBackend,
     RateLimiter,
@@ -35,23 +32,23 @@ def table_fixture_client(tmp_path):
 
 
 def test_fixture_markle(table_fixture_client):
-    stat = table_fixture_client.fetch_views("Meghan Markle", "en", 2017)
-    assert stat.total == 30430581
-    assert stat.source == SOURCE_FIXTURE
-    assert not stat.missing
+    assert table_fixture_client.fetch_views("Meghan Markle", "en", 2017) == 30430581
+    assert table_fixture_client.backend.request_count == 1
+    assert table_fixture_client.backend.get_views("Meghan Markle", "en", 2017) == (30430581, False)
 
 
 def test_fixture_missing_page_is_zero(table_fixture_client):
-    stat = table_fixture_client.fetch_views("Hogwarts Founder", "en", 2017)
-    assert stat.total == 0
-    assert stat.missing
+    assert table_fixture_client.fetch_views("Hogwarts Founder", "en", 2017) == 0
+    assert table_fixture_client.backend.get_views("Hogwarts Founder", "en", 2017) == (0, True)
 
 
 def test_monthly_rows_sum(tmp_path):
     # the live API returns monthly buckets; the fixture stores the total
     rows = [("en", "Page", 2017, 12 * 100)]
-    client = ViewClient(FixtureBackend(write_views_fixture(tmp_path / "v.tsv", rows)))
-    assert client.fetch_views("Page", "en", 2017).total == 1200
+    client = ViewClient(
+        FixtureBackend(write_views_fixture(tmp_path / "v.tsv", rows)), ViewCache(tmp_path / "cache")
+    )
+    assert client.fetch_views("Page", "en", 2017) == 1200
 
 
 def test_cache_serves_repeat_requests(table_fixture_client):
@@ -60,8 +57,8 @@ def test_cache_serves_repeat_requests(table_fixture_client):
     count = backend.request_count
     second = table_fixture_client.fetch_views("Elon Musk", "en", 2017)
     assert backend.request_count == count
-    assert second.source == SOURCE_CACHE
-    assert second.total == first.total
+    assert second == first
+    assert type(second) is int
 
 
 def test_warm_cache_issues_zero_requests(tmp_path):
@@ -70,7 +67,7 @@ def test_warm_cache_issues_zero_requests(tmp_path):
     ViewClient(FixtureBackend(views_path), ViewCache(cache_dir)).fetch_views("A", "en", 2017)
     fresh_backend = FixtureBackend(views_path)
     client = ViewClient(fresh_backend, ViewCache(cache_dir))
-    assert client.fetch_views("A", "en", 2017).total == 5
+    assert client.fetch_views("A", "en", 2017) == 5
     assert fresh_backend.request_count == 0
 
 
@@ -90,7 +87,8 @@ def test_resolve_english_fixture_and_cache(tmp_path):
 
 def test_resolve_english_no_counterpart(tmp_path):
     backend = FixtureBackend(None, write_langlinks_fixture(tmp_path / "l.tsv", []))
-    assert ViewClient(backend).resolve_english("Неизвестный", "ru") is None
+    client = ViewClient(backend, ViewCache(tmp_path / "cache"))
+    assert client.resolve_english("Неизвестный", "ru") is None
 
 
 def test_cached_no_counterpart_is_a_hit(tmp_path):
@@ -108,8 +106,9 @@ LONG_TITLE = "Московский государственный универс
 def test_cache_takes_titles_too_long_for_a_file_name(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("ru", LONG_TITLE, 2017, 42)])
     client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
-    assert client.fetch_views(LONG_TITLE, "ru", 2017).total == 42
-    assert client.fetch_views(LONG_TITLE, "ru", 2017).source == SOURCE_CACHE
+    assert client.fetch_views(LONG_TITLE, "ru", 2017) == 42
+    assert client.fetch_views(LONG_TITLE, "ru", 2017) == 42
+    assert client.backend.request_count == 1
     registry = load_registry(
         write_universities_file(tmp_path / "u.tsv", [(1, "MSU", "ru", LONG_TITLE)])
     )
@@ -216,12 +215,10 @@ class FakeSession:
         return self.responses.pop(0)
 
 
-def live_backend(responses, retries=3, agent="all-agents"):
+def live_backend(responses, agent="all-agents"):
     return LiveBackend(
         rate_limiter=RateLimiter(0),
         session=FakeSession(responses),
-        retries=retries,
-        backoff_base=0.0,
         agent=agent,
         sleep=lambda _t: None,
     )
@@ -247,9 +244,9 @@ def test_live_retries_then_succeeds():
 
 
 @pytest.mark.parametrize("response", [FakeResponse(403), HtmlResponse(200)], ids=["403", "html"])
-def test_live_client_error_flags_one_record(response):
+def test_live_client_error_flags_one_record(tmp_path, response):
     backend = live_backend([response])
-    (out,) = enrich_records([rec("Person")], 2017, ViewClient(backend))
+    (out,) = enrich_records([rec("Person")], 2017, ViewClient(backend, ViewCache(tmp_path / "c")))
     assert out.unresolved
     assert out.views_total is None
     assert backend.request_count == 1
@@ -263,8 +260,7 @@ def test_fixture_filled_cache_is_not_served_to_a_live_run(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
     ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
     backend = live_backend([FakeResponse(200, views_payload(7))])
-    stat = ViewClient(backend, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
-    assert (stat.total, stat.source) == (7, SOURCE_LIVE)
+    assert ViewClient(backend, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 7
     assert backend.request_count == 1
 
 
@@ -272,8 +268,7 @@ def test_live_agents_do_not_share_cache_entries(tmp_path):
     users = live_backend([FakeResponse(200, views_payload(3))], agent="user")
     ViewClient(users, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
     every = live_backend([FakeResponse(200, views_payload(8))])
-    stat = ViewClient(every, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
-    assert (stat.total, stat.source) == (8, SOURCE_LIVE)
+    assert ViewClient(every, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 8
     assert every.request_count == 1
 
 
@@ -292,7 +287,7 @@ def test_enrich_sums_national_and_english(tmp_path):
         tmp_path / "v.tsv", [("ru", "Человек", 2017, 50), ("en", "Person", 2017, 100)]
     )
     links = write_langlinks_fixture(tmp_path / "l.tsv", [("ru", "Человек", "Person")])
-    client = ViewClient(FixtureBackend(views, links))
+    client = ViewClient(FixtureBackend(views, links), ViewCache(tmp_path / "cache"))
     (out,) = enrich_records([rec("Человек", lang="ru")], 2017, client)
     assert out.views_total == 150
     assert out.person_link_en == "Person"
@@ -300,7 +295,7 @@ def test_enrich_sums_national_and_english(tmp_path):
 
 def test_enrich_english_only(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "Person", 2017, 100)])
-    client = ViewClient(FixtureBackend(views, None))
+    client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
     (out,) = enrich_records([rec("Person")], 2017, client)
     assert out.views_total == 100
     assert not out.unresolved
@@ -309,20 +304,24 @@ def test_enrich_english_only(tmp_path):
 def test_enrich_same_title_counted_once(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("de", "Person", 2017, 60)])
     links = write_langlinks_fixture(tmp_path / "l.tsv", [("de", "Person", "Person")])
-    client = ViewClient(FixtureBackend(views, links))
+    client = ViewClient(FixtureBackend(views, links), ViewCache(tmp_path / "cache"))
     (out,) = enrich_records([rec("Person", lang="de")], 2017, client)
     assert out.views_total == 60
 
 
 def test_enrich_flags_unresolved(tmp_path):
     class FailingBackend:
+        source = "failing"
+        agent = ""
+
         def get_views(self, title, lang, year):
             raise FetchError("down")
 
         def get_english_title(self, title, lang):
             raise FetchError("down")
 
-    (out,) = enrich_records([rec("Person")], 2017, ViewClient(FailingBackend()))
+    client = ViewClient(FailingBackend(), ViewCache(tmp_path / "cache"))
+    (out,) = enrich_records([rec("Person")], 2017, client)
     assert out.unresolved
     assert out.views_total is None
 
@@ -342,8 +341,8 @@ def test_university_views_sums_languages(tmp_path):
             ("en", "Solo University", 2017, 77),
         ],
     )
-    totals = university_views(registry, 2017, ViewClient(FixtureBackend(views)))
-    assert totals == {1: 1200, 2: 77}
+    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    assert university_views(registry, 2017, client) == {1: 1200, 2: 77}
 
 
 def test_university_views_exclude_aliases(tmp_path):
@@ -356,8 +355,8 @@ def test_university_views_exclude_aliases(tmp_path):
         tmp_path / "v.tsv",
         [("en", "Example University", 2017, 1000), ("en", "Example", 2017, 500)],
     )
-    totals = university_views(registry, 2017, ViewClient(FixtureBackend(views)))
-    assert totals == {1: 1000}
+    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    assert university_views(registry, 2017, client) == {1: 1000}
 
 
 def test_fixture_mode_is_hermetic(tmp_path, monkeypatch):
@@ -369,4 +368,4 @@ def test_fixture_mode_is_hermetic(tmp_path, monkeypatch):
     monkeypatch.setattr(socket.socket, "connect", no_network)
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 1)])
     client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
-    assert client.fetch_views("A", "en", 2017).total == 1
+    assert client.fetch_views("A", "en", 2017) == 1

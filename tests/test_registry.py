@@ -64,7 +64,7 @@ def test_duplicate_id_conflicting_names(tmp_path):
 def test_registry_size_464(tmp_path):
     rows = [(i, f"University {i}", "en", f"University {i}") for i in range(1, 465)]
     registry = load_registry(registry_file(tmp_path, rows))
-    assert len(registry) == 464
+    assert len(registry.universities) == 464
 
 
 def test_resolve_underscore_and_case(tmp_path):

@@ -1,6 +1,7 @@
 """Guards on the package's structure: every TSV parse and artifact write
 goes through wikialumni.tsv, the view cache is one SQLite file, the CLI
-imports no heavy dependency, and every public name is read in src/."""
+imports no heavy dependency, every public name is read in src/, and
+every defaulted parameter is set by some call in src/."""
 
 import ast
 import subprocess
@@ -82,7 +83,9 @@ def test_view_cache_is_one_database_file(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy():
-    heavy = ("scipy", "numpy", "multiprocessing", "concurrent.futures")
+    heavy = (
+        "scipy", "numpy", "multiprocessing", "concurrent.futures", "urllib.request", "http.client"
+    )
     result = subprocess.run(
         [sys.executable, "-c",
          f"import sys, wikialumni.cli; print([m for m in {heavy!r} if m in sys.modules])"],
@@ -95,7 +98,6 @@ def test_cli_import_leaves_out_scipy():
 # Public names that nothing in src/ reads, each kept for a reason.
 UNREAD_ALLOWED = {
     "bundled_dictionary_path": "locates the starter dictionaries shipped as package data",
-    "PageViewStat.missing": "half of the (total, missing) value stored in pageviews.sqlite",
 }
 
 
@@ -169,3 +171,91 @@ def test_every_public_name_is_read_in_src():
     unread = _unread_api(trees)
     assert [name for name in unread if name not in UNREAD_ALLOWED] == []
     assert sorted(set(UNREAD_ALLOWED) - set(unread)) == []  # no stale exception
+
+
+# Defaulted parameters that no call in src/ sets, each kept for a reason.
+UNSET_ALLOWED = {
+    **{f"run_{stage}.echo": "the benchmark and the tests silence stage output"
+       for stage in ("ingest", "extract", "views", "report", "audit")},
+    "RateLimiter.__init__.clock": "test seam: tests substitute a fake clock",
+    "RateLimiter.__init__.sleep": "test seam: tests substitute a fake sleep",
+    "LiveBackend.__init__.sleep": "test seam: tests skip the backoff with a fake sleep",
+    "LiveBackend.__init__.session": "test seam: tests and the benchmark pass a fake transport",
+}
+
+
+def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(qualified function name, name a call uses for it, parameter,
+    position among the arguments a call passes or None if keyword-only)
+    for every parameter with a default.  A method's first parameter is
+    not passed by its caller, and a call to a class calls __init__."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = ".".join(scope + [child.name])
+                callee = scope[-1] if child.name == "__init__" else child.name
+                args = child.args
+                positional = (args.posonlyargs + args.args)[1 if in_class else 0:]
+                first_default = len(positional) - len(args.defaults)
+                for pos, arg in enumerate(positional[first_default:], first_default):
+                    found.append((qualname, callee, arg.arg, pos))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((qualname, callee, arg.arg, None))
+                visit(child, scope + [child.name], False)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, [], False)
+    return found
+
+
+def _unset_defaults(trees: list[ast.Module]) -> list[str]:
+    """'function.parameter' for each defaulted parameter that no call
+    sets, by keyword or by position.  Calls match by the callee's name
+    (f(...), obj.f(...), Class(...)), not by type; a call that passes
+    *args or **kwargs sets every parameter."""
+    n_positional: dict[str, int] = {}
+    keywords: set[tuple[str, str | None]] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            n = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                n = sys.maxsize
+            n_positional[name] = max(n_positional.get(name, 0), n)
+            keywords.update((name, k.arg) for k in node.keywords)  # arg None: **kwargs
+    unset = []
+    for tree in trees:
+        for qualname, callee, param, pos in _defaulted_params(tree):
+            by_position = pos is not None and n_positional.get(callee, 0) > pos
+            by_keyword = (callee, param) in keywords or (callee, None) in keywords
+            if not by_position and not by_keyword:
+                unset.append(f"{qualname}.{param}")
+    return unset
+
+
+def test_unset_default_scan_finds_parameters_no_call_sets():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0, z=0):\n        pass\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+        "def g(u=1, *, v=2):\n    def inner(w=0):\n        pass\n"
+        "f(0, 5)\nf(0, d=4)\nC(1, 2).m(q=3)\ng(**{})\n"
+    )
+    assert _unset_defaults([tree]) == ["f.c", "f.e", "C.__init__.z", "C.m.p", "g.inner.w"]
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    unset = _unset_defaults(trees)
+    assert [name for name in unset if name not in UNSET_ALLOWED] == []
+    assert sorted(set(UNSET_ALLOWED) - set(unset)) == []  # no stale exception
