@@ -112,7 +112,7 @@ def describe(records: Sequence[AlumniRecord]) -> DescriptiveStats:
     )
 
 
-def rank_universities(records: Iterable[AlumniRecord], name: str = "") -> Ranking:
+def rank_universities(records: Iterable[AlumniRecord], name: str) -> Ranking:
     """Rank by exact integer sum of views_total per university; records
     without views_total are skipped."""
     sums: dict[int, int] = {}
@@ -126,19 +126,12 @@ def rank_universities(records: Iterable[AlumniRecord], name: str = "") -> Rankin
     return Ranking(entries=tuple((uid, float(score)) for uid, score in ordered), name=name)
 
 
-def ranking_from_scores(
-    scores: dict[int, float],
-    names: dict[int, str] | None = None,
-    name: str = "",
-) -> Ranking:
-    names = names or {}
+def ranking_from_scores(scores: dict[int, float], names: dict[int, str], name: str) -> Ranking:
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], names.get(kv[0], str(kv[0]))))
     return Ranking(entries=tuple(ordered), name=name)
 
 
-def correlate(
-    rank_a: Ranking, rank_b: Ranking, method: str = METHOD_SPEARMAN
-) -> CorrelationResult:
+def correlate(rank_a: Ranking, rank_b: Ranking, method: str) -> CorrelationResult:
     """Correlation over the entity intersection of the two rankings.
 
     Spearman is the Pearson correlation of the score-derived rank
@@ -191,9 +184,7 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return math.fsum(u * v for u, v in zip(xc, yc)) / denom
 
 
-def correlation_matrix(
-    rankings: Sequence[Ranking], method: str = METHOD_SPEARMAN
-) -> list[list[float]]:
+def correlation_matrix(rankings: Sequence[Ranking], method: str) -> list[list[float]]:
     """Symmetric matrix with unit diagonal; cells whose pair cannot be
     correlated are NaN."""
     if len(rankings) < 2:

@@ -22,7 +22,7 @@ from . import alumni, analytics, pageviews, persons
 from .config import (
     MODE_FIXTURE, LanguageConfig, NamedFilter, PipelineConfig, dump_year, load_config
 )
-from .dump import DumpSource, collect_redirects, stream_pages
+from .dump import WHOLE, DumpSource, Span, collect_redirects, shard_spans, stream_pages
 from .errors import ConfigError, WikiAlumniError
 from .registry import load_dictionary, load_registry
 from .tsv import read_tsv, write_text_atomic, write_tsv
@@ -95,20 +95,41 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
     """Stream every configured dump; persist person files and redirect
     maps; write the resume manifest.
 
-    Each language is ingested in its own forked worker process, at most
-    one per CPU in the affinity mask; memory stays bounded by the
-    largest page in each worker.  Only this process echoes, in config
-    order, and writes the manifest.
+    Each plain-XML dump is split into one shard per CPU in the affinity
+    mask (``dump.shard_spans``), and each compressed dump is one shard.
+    Every shard is ingested in its own forked worker, at most one per
+    CPU at once, so memory stays bounded by the largest page in each
+    worker.  This process merges each language's shards in dump order,
+    resolves its redirects, writes ``redirects/<lang>.tsv``, echoes in
+    config order and writes the manifest, so every artifact equals that
+    of a one-CPU run.  If any shard of a language fails, the language is
+    ingested again unsplit, and that run's error is the one reported.
     """
     out = config.output_dir
     manifest = _load_manifest(config)
-    if _manifest_complete(manifest, config):
+    if _manifest_complete(manifest, config) and all(
+        (out / "redirects" / f"{lang.code}.tsv").is_file()
+        and (out / "persons" / lang.code).is_dir()
+        for lang in config.languages
+    ):
         echo("ingest: manifest complete, nothing to do")
         return 0
 
     (out / "redirects").mkdir(parents=True, exist_ok=True)
+    width = len(os.sched_getaffinity(0))
+    spans = {lang.code: shard_spans(str(lang.dump), width) for lang in config.languages}
+    shards = _ingest_languages(config, config.languages, spans)
+    split_failed = [
+        lang for lang in config.languages
+        if len(spans[lang.code]) > 1 and any("error" in shard for shard in shards[lang.code])
+    ]
+    if split_failed:
+        whole = {lang.code: [WHOLE] for lang in split_failed}
+        shards.update(_ingest_languages(config, split_failed, whole))
+
     languages: dict[str, dict] = {}
-    for lang_cfg, entry in zip(config.languages, _ingest_in_workers(config)):
+    for lang_cfg in config.languages:
+        entry = _merge_shards(lang_cfg, shards[lang_cfg.code], out)
         languages[lang_cfg.code] = entry
         if entry["status"] == "ok":
             echo(f"ingest: {lang_cfg.code}: {entry['pages']} pages, {entry['persons']} persons")
@@ -121,13 +142,33 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
     return 0 if all(e["status"] == "ok" for e in languages.values()) else 1
 
 
-def _ingest_language(lang_cfg: LanguageConfig, out: Path, analysis_year: int) -> dict:
-    """Ingest one language's dump into persons/<lang>/ and
-    redirects/<lang>.tsv; return its manifest entry."""
+def _ingest_languages(
+    config: PipelineConfig,
+    langs: list[LanguageConfig],
+    spans: dict[str, list[Span]],
+) -> dict[str, list[dict]]:
+    """Each language's shard results, in dump order, after removing the
+    person files that an earlier config or run left for it."""
+    for lang_cfg in langs:
+        person_dir = config.output_dir / "persons" / lang_cfg.code
+        person_dir.mkdir(parents=True, exist_ok=True)
+        for stale in person_dir.glob("page_*.xml"):
+            stale.unlink()
+    units = [(lang_cfg, span) for lang_cfg in langs for span in spans[lang_cfg.code]]
+    shards: dict[str, list[dict]] = {lang_cfg.code: [] for lang_cfg in langs}
+    for (lang_cfg, _span), result in zip(units, _ingest_in_workers(units, config)):
+        shards[lang_cfg.code].append(result)
+    return shards
+
+
+def _ingest_shard(
+    lang_cfg: LanguageConfig, span: Span, out: Path, analysis_year: int
+) -> dict:
+    """Ingest one span of one language's dump: write its person files
+    into persons/<lang>/ (their names are per page, so shards never
+    collide) and return its page and person counts and its redirect
+    (title, target) pairs in dump order, or its error."""
     person_dir = out / "persons" / lang_cfg.code
-    person_dir.mkdir(parents=True, exist_ok=True)
-    for stale in person_dir.glob("page_*.xml"):  # left by an earlier config
-        stale.unlink()
     # birth years are bounded by the dump, not by the wall clock
     year_bound = dump_year(lang_cfg) or analysis_year
     try:
@@ -135,7 +176,7 @@ def _ingest_language(lang_cfg: LanguageConfig, out: Path, analysis_year: int) ->
         source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
         n_pages = n_persons = 0
         redirects = []
-        for page in stream_pages(source):
+        for page in stream_pages(source, span):
             n_pages += 1
             if page.is_redirect:
                 redirects.append((page.title, page.redirect_target))
@@ -148,60 +189,76 @@ def _ingest_language(lang_cfg: LanguageConfig, out: Path, analysis_year: int) ->
             year = persons.extract_birth_year(page, year_bound)
             persons.persist_person(persons.PersonPage(page, year), person_dir)
             n_persons += 1
-        resolved, unresolvable = collect_redirects(redirects)
-        write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
-        return {
-            "status": "ok",
-            "pages": n_pages,
-            "persons": n_persons,
-            "redirects": len(resolved),
-            "unresolvable_redirects": sorted(unresolvable),
-            "dump_date": lang_cfg.dump_date,
-        }
     except WikiAlumniError as exc:
-        return {"status": "error", "error": str(exc)}
+        return {"error": str(exc)}
+    return {"pages": n_pages, "persons": n_persons, "redirects": redirects}
 
 
-def _ingest_in_workers(config: PipelineConfig) -> list[dict]:
-    """Every language's manifest entry, in config order, each computed
-    by ``_ingest_language`` in a forked child (the pipeline starts no
-    threads, so forking is safe).
+def _merge_shards(lang_cfg: LanguageConfig, shards: list[dict], out: Path) -> dict:
+    """One language's manifest entry from its shard results; on success
+    also write redirects/<lang>.tsv."""
+    errors = [shard["error"] for shard in shards if "error" in shard]
+    if errors:
+        return {"status": "error", "error": errors[0]}
+    # one list in dump order, so a title redirected twice keeps its last target
+    resolved, unresolvable = collect_redirects(
+        pair for shard in shards for pair in shard["redirects"]
+    )
+    write_tsv(out / "redirects" / f"{lang_cfg.code}.tsv", [], sorted(resolved.items()))
+    return {
+        "status": "ok",
+        "pages": sum(shard["pages"] for shard in shards),
+        "persons": sum(shard["persons"] for shard in shards),
+        "redirects": len(resolved),
+        "unresolvable_redirects": sorted(unresolvable),
+        "dump_date": lang_cfg.dump_date,
+    }
+
+
+def _ingest_in_workers(
+    units: list[tuple[LanguageConfig, Span]], config: PipelineConfig
+) -> list[dict]:
+    """The result of ``_ingest_shard`` for every (language, span) unit,
+    in unit order, each computed in a forked child (the pipeline starts
+    no threads, so forking is safe).
 
     At most one child per CPU in the affinity mask runs at once.  A child
-    still running when this returns or raises is killed and reaped, so
-    none outlives the call.
+    that dies without a result stops the whole ingest with an error that
+    names its language.  A child still running when this returns or
+    raises is killed and reaped, so none outlives the call.
     """
-    langs = config.languages
     width = len(os.sched_getaffinity(0))
     workers: list[tuple[int, BinaryIO]] = []  # (pid, read end), oldest first
-    entries: list[dict] = []
+    results: list[dict] = []
     try:
-        while len(entries) < len(langs):
-            while len(workers) < width and len(entries) + len(workers) < len(langs):
-                workers.append(_fork_worker(langs[len(entries) + len(workers)], config))
+        while len(results) < len(units):
+            while len(workers) < width and len(results) + len(workers) < len(units):
+                workers.append(_fork_worker(units[len(results) + len(workers)], config))
             pid, pipe = workers[0]
             # Read to EOF before waiting: a child blocks on a full pipe
-            # until its entry is read, so waiting first could deadlock.
+            # until its result is read, so waiting first could deadlock.
             data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             workers.pop(0)
             pipe.close()
             if status != 0 or not data:
                 how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
-                code = langs[len(entries)].code
+                code = units[len(results)][0].code
                 raise WikiAlumniError(f"ingest worker for {code} {how} without a result")
-            entries.append(json.loads(data))
+            results.append(json.loads(data))
     finally:
         for pid, pipe in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-    return entries
+    return results
 
 
-def _fork_worker(lang_cfg: LanguageConfig, config: PipelineConfig) -> tuple[int, BinaryIO]:
-    """Start one child that ingests ``lang_cfg`` and writes its manifest
-    entry as JSON into a pipe; return (pid, read end of the pipe)."""
+def _fork_worker(
+    unit: tuple[LanguageConfig, Span], config: PipelineConfig
+) -> tuple[int, BinaryIO]:
+    """Start one child that ingests ``unit`` and writes its result as
+    JSON into a pipe; return (pid, read end of the pipe)."""
     rfd, wfd = os.pipe()
     sys.stderr.flush()  # a child that prints a traceback must not repeat buffered output
     try:
@@ -214,12 +271,13 @@ def _fork_worker(lang_cfg: LanguageConfig, config: PipelineConfig) -> tuple[int,
         status = 1
         try:
             os.close(rfd)
-            entry = _ingest_language(lang_cfg, config.output_dir, config.analysis_year)
+            lang_cfg, span = unit
+            result = _ingest_shard(lang_cfg, span, config.output_dir, config.analysis_year)
             with open(wfd, "wb") as pipe:
-                pipe.write(json.dumps(entry).encode())
+                pipe.write(json.dumps(result).encode())
             status = 0
         except BrokenPipeError:
-            pass  # the parent is gone; nobody is left to read the entry
+            pass  # the parent is gone; nobody is left to read the result
         except Exception as exc:
             import traceback  # only a failing child pays for the import
 

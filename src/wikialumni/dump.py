@@ -1,10 +1,12 @@
 """Streaming reader for MediaWiki pages-articles XML dumps.
 
 Pages are yielded one at a time; memory stays bounded by the largest
-single page regardless of dump size.  Ingest streams each language in
-its own worker process, at most one per CPU in the affinity mask, so
-the bound holds per worker.  Plain XML, gzip and bz2 inputs are
-auto-detected from magic bytes.
+single page regardless of dump size.  A plain-XML dump can also be read
+in shards, byte ranges that each start at a ``<page>`` tag
+(``shard_spans``), so ingest streams every shard in its own worker
+process, at most one per CPU in the affinity mask, and the bound holds
+per shard worker.  Plain XML, gzip and bz2 inputs are auto-detected
+from magic bytes; a compressed dump is always read whole.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
+import os
 import xml.etree.ElementTree as etree
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -24,6 +27,11 @@ _BZ2_MAGIC = b"BZh"
 _KNOWN_OTHER = {b"\x28\xb5\x2f\xfd": "zstd", b"\xfd7zX": "xz", b"7z\xbc\xaf": "7z"}
 
 MAX_REDIRECT_HOPS = 16  # longer chains count as unresolvable
+
+Span = tuple[int, int | None]  # (start, end) byte offsets; end None is end of file
+WHOLE: Span = (0, None)
+_PAGE_TAG = b"<page>"
+_SCAN_SIZE = 64 * 1024  # bytes read at a time while looking for a cut
 
 
 @dataclass(frozen=True)
@@ -76,14 +84,21 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def stream_pages(source: DumpSource) -> Iterator[WikiPage]:
+def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
     """Yield every page of the dump exactly once, in dump order.
 
     Raises DumpParseError on malformed XML (with byte offset and the last
     page title parsed) and DumpTruncatedError when the stream ends inside
     the document; pages parsed before the failure are yielded first.
+
+    With a span (start, end) from ``shard_spans`` other than WHOLE, only
+    the pages in bytes [start, end) of a plain-XML dump are yielded (end
+    None: to the end of the file).  The bytes before the dump's first
+    ``<page>`` are parsed first, and a span that ends before the file
+    does must end between pages; otherwise the shard fails with one of
+    the two errors, and only a whole-dump read says what is wrong.
     """
-    stream = _open_dump(source.path)
+    stream = _open_dump(source.path) if span == WHOLE else _ShardReader(source.path, span)
     try:
         yield from _iter_pages(stream, source)
     finally:
@@ -152,6 +167,102 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
                 page_id=page_id,
             )
             root.clear()
+
+
+def shard_spans(path: str, n: int) -> list[Span]:
+    """Split a plain-XML dump into at most n spans for ``stream_pages``.
+
+    Cut k of n is the first ``<page>`` at or after byte size*k//n that
+    lies past the dump's first ``<page>``; equal cuts count once.  The
+    spans run from 0 to the first cut, between cuts, and from the last
+    cut to the end (None).  A gzip or bz2 dump, or one whose pages are
+    not spelled ``<page>``, is one span: [WHOLE].  A cut that lands
+    inside a comment, CDATA section or processing instruction leaves its
+    left shard unclosed, so that shard fails to parse.
+    """
+    with open(path, "rb") as fh:
+        plain = fh.read(1) == b"<"
+        first = _find_page_tag(fh, 0) if plain and n > 1 else None
+        cuts: list[int] = []
+        if first is not None:
+            size = os.fstat(fh.fileno()).st_size
+            for k in range(1, n):
+                cut = _find_page_tag(fh, max(size * k // n, first + 1))
+                if cut is None:
+                    break
+                if not cuts or cut > cuts[-1]:
+                    cuts.append(cut)
+    bounds = [0, *cuts, None]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _find_page_tag(fh: IO[bytes], offset: int) -> int | None:
+    """Offset of the first ``<page>`` at or after offset, or None; a tag
+    that straddles two reads is found."""
+    fh.seek(offset)
+    carry = b""
+    while chunk := fh.read(_SCAN_SIZE):
+        data = carry + chunk
+        at = data.find(_PAGE_TAG)
+        if at >= 0:
+            return offset - len(carry) + at
+        carry = data[1 - len(_PAGE_TAG):]
+        offset += len(chunk)
+    return None
+
+
+class _ShardReader:
+    """One span of a plain-XML dump, read as a document of its own: the
+    dump's prefix (the bytes before its first ``<page>``, which hold the
+    root start tag and siteinfo) unless the span starts at 0, then the
+    span's bytes, then the root's end tag unless the span runs to the
+    end of the file.  ``tell`` is the offset in the dump file."""
+
+    def __init__(self, path: str, span: Span):
+        start, end = span
+        with open(path, "rb") as fh:
+            first = _find_page_tag(fh, 0)
+            if first is None:
+                raise DumpParseError(f"{path}: no <page> to start shard {span} at")
+            fh.seek(0)
+            prefix = fh.read(first)
+        self._head = prefix if start > 0 else b""
+        self._tail = b"" if end is None else _end_tag(prefix, path)
+        self._left = None if end is None else end - start
+        self._file = open(path, "rb")
+        self._file.seek(start)
+
+    def read(self, size: int) -> bytes:
+        if self._head:
+            data, self._head = self._head[:size], self._head[size:]
+            return data
+        if self._left is None:
+            return self._file.read(size)
+        if self._left:
+            data = self._file.read(min(size, self._left))
+            self._left -= len(data)
+            if data:
+                return data
+        data, self._tail = self._tail[:size], self._tail[size:]
+        return data
+
+    def tell(self) -> int:
+        return self._file.tell()
+
+    def close(self) -> None:
+        self._file.close()
+
+
+def _end_tag(prefix: bytes, path: str) -> bytes:
+    """The end tag that closes the root element opened in prefix."""
+    parser = etree.XMLPullParser(events=("start",))
+    parser.feed(prefix)
+    try:
+        for _event, root in parser.read_events():
+            return f"</{_localname(root.tag)}>".encode()
+    except etree.ParseError as exc:
+        raise DumpParseError(f"{path}: malformed XML before the first <page>: {exc}") from exc
+    raise DumpParseError(f"{path}: no root element before the first <page>")
 
 
 def _byte_offset(stream: IO[bytes], exc: etree.ParseError) -> int | str:

@@ -70,20 +70,19 @@ class FixtureBackend:
 
     views file rows: lang<TAB>title<TAB>year<TAB>total
     langlinks file rows: lang<TAB>title<TAB>english_title
-    Either path may be None (empty fixture).
+    The langlinks path may be None (no English counterparts).
     """
 
     source = SOURCE_FIXTURE
     agent = ""  # fixture totals do not depend on an agent
 
-    def __init__(self, views_file: str | Path | None, langlinks_file: str | Path | None = None):
+    def __init__(self, views_file: str | Path, langlinks_file: str | Path | None):
         self.request_count = 0
         self._views: dict[tuple[str, str, int], int] = {}
         self._links: dict[tuple[str, str], str] = {}
-        if views_file is not None:
-            rows = read_tsv(views_file, n_cols=4, parse=lambda f: (*f[:2], int(f[2]), int(f[3])))[1]
-            for lang, title, year, total in rows:
-                self._views[(lang, title, year)] = total
+        rows = read_tsv(views_file, n_cols=4, parse=lambda f: (*f[:2], int(f[2]), int(f[3])))[1]
+        for lang, title, year, total in rows:
+            self._views[(lang, title, year)] = total
         if langlinks_file is not None:
             for lang, title, title_en in read_tsv(langlinks_file, n_cols=3)[1]:
                 self._links[(lang, title)] = title_en

@@ -40,8 +40,7 @@ def detect_person(page: WikiPage, dictionary: MarkerDictionary) -> str | None:
 def extract_birth_year(page: WikiPage, current_year: int) -> int | None:
     """Scan the first WORD_WINDOW words for a four-digit year between
     BIRTH_YEAR_MIN and current_year, the year of the dump."""
-    words = page.wikitext.split()
-    for word in words[:WORD_WINDOW]:
+    for word in page.wikitext.split(maxsplit=WORD_WINDOW)[:WORD_WINDOW]:
         for match in _FOUR_DIGITS.finditer(word):
             year = int(match.group())
             if BIRTH_YEAR_MIN <= year <= current_year:

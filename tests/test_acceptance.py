@@ -9,6 +9,7 @@ import time
 import pytest
 
 from wikialumni.analytics import (
+    METHOD_SPEARMAN,
     FilterSpec,
     apply_filter,
     correlate,
@@ -46,7 +47,7 @@ def test_criterion_1_table5_reproduction():
 def test_criterion_2_cambridge_aggregation():
     from conftest import TABLE4
 
-    ranking = rank_universities(table_records(TABLE4))
+    ranking = rank_universities(table_records(TABLE4), name="")
     score = ranking.scores()[2]
     assert score == 19183278 + 12944420
     assert int(score) == 32127698
@@ -56,17 +57,19 @@ def test_criterion_2_cambridge_aggregation():
 def test_criterion_3_spearman_oracle():
     def with_rank_order(ranks):
         n = len(ranks)
-        return ranking_from_scores({i: float(n - r) for i, r in enumerate(ranks)})
+        return ranking_from_scores({i: float(n - r) for i, r in enumerate(ranks)}, {}, name="")
 
-    got = correlate(with_rank_order((1, 2, 3, 4)), with_rank_order((2, 1, 4, 3))).coefficient
+    got = correlate(
+        with_rank_order((1, 2, 3, 4)), with_rank_order((2, 1, 4, 3)), METHOD_SPEARMAN
+    ).coefficient
     # definitional oracle: 1 - 6*sum(d^2)/(n(n^2-1)), d^2 = 4
     oracle = 1 - 6 * 4 / (4 * (4 * 4 - 1))
     assert abs(got - oracle) < 1e-9
 
     ident = with_rank_order((1, 2, 3, 4, 5))
-    assert abs(correlate(ident, ident).coefficient - 1.0) < 1e-12
+    assert abs(correlate(ident, ident, METHOD_SPEARMAN).coefficient - 1.0) < 1e-12
     rev = with_rank_order((5, 4, 3, 2, 1))
-    assert abs(correlate(ident, rev).coefficient + 1.0) < 1e-12
+    assert abs(correlate(ident, rev, METHOD_SPEARMAN).coefficient + 1.0) < 1e-12
     ok(3, "spearman gives 0.6 on the 4-rank oracle, 1.0 identical, -1.0 reversed")
 
 
@@ -224,8 +227,8 @@ def test_criterion_8_matrix_shape():
         rankings = []
         for _ in range(n_rankings):
             scores = {i: rng.random() * 1e6 for i in range(n_entities)}
-            rankings.append(ranking_from_scores(scores))
-        m = correlation_matrix(rankings)
+            rankings.append(ranking_from_scores(scores, {}, name=""))
+        m = correlation_matrix(rankings, METHOD_SPEARMAN)
         assert len(m) == n_rankings and all(len(row) == n_rankings for row in m)
         for i in range(n_rankings):
             assert abs(m[i][i] - 1.0) < 1e-12

@@ -121,14 +121,14 @@ def test_rank_order_simple():
         rec(uid=1, name="First", person="b", views=20),
         rec(uid=2, name="Second", person="c", views=25),
     ]
-    ranking = rank_universities(records)
+    ranking = rank_universities(records, name="")
     assert ranking.entries == ((1, 30.0), (2, 25.0))
 
 
 def test_cambridge_aggregation():
     from conftest import TABLE4
 
-    ranking = rank_universities(table_records(TABLE4))
+    ranking = rank_universities(table_records(TABLE4), name="")
     scores = ranking.scores()
     assert scores[2] == 19183278 + 12944420 == 32127698
     # above any single-alumnus university in the fixture except Markle's
@@ -137,7 +137,7 @@ def test_cambridge_aggregation():
 
 
 def test_rank_empty():
-    assert rank_universities([]).entries == ()
+    assert rank_universities([], name="").entries == ()
 
 
 def test_rank_tie_breaks_by_name():
@@ -145,74 +145,74 @@ def test_rank_tie_breaks_by_name():
         rec(uid=2, name="Beta", person="a", views=10),
         rec(uid=1, name="Alpha", person="b", views=10),
     ]
-    assert [uid for uid, _ in rank_universities(records).entries] == [1, 2]
+    assert [uid for uid, _ in rank_universities(records, name="").entries] == [1, 2]
 
 
 def test_rank_permutation_invariant():
     records = table_records()
     shuffled = records[:]
     random.Random(7).shuffle(shuffled)
-    assert rank_universities(records) == rank_universities(shuffled)
+    assert rank_universities(records, name="") == rank_universities(shuffled, name="")
 
 
 def test_describe_rank_sum_agreement():
     records = table_records()
-    ranking = rank_universities(records)
+    ranking = rank_universities(records, name="")
     assert sum(int(s) for _, s in ranking.entries) == sum(r.views_total for r in records)
 
 
 # ----------------------------------------------------------- correlations
 
 def ranking_of(scores, name=""):
-    return ranking_from_scores(dict(enumerate(scores)), name=name)
+    return ranking_from_scores(dict(enumerate(scores)), {}, name=name)
 
 
 def ranking_with_rank_order(ranks):
     """Entity i gets rank ranks[i]; higher score = better rank."""
     n = len(ranks)
-    return ranking_from_scores({i: float(n - r) for i, r in enumerate(ranks)})
+    return ranking_from_scores({i: float(n - r) for i, r in enumerate(ranks)}, {}, name="")
 
 
 def test_spearman_oracle_06():
     # definitional formula: 1 - 6*sum(d^2)/(n(n^2-1)) with d^2 = 4 -> 0.6
     a = ranking_with_rank_order((1, 2, 3, 4))
     b = ranking_with_rank_order((2, 1, 4, 3))
-    result = correlate(a, b)
+    result = correlate(a, b, METHOD_SPEARMAN)
     assert math.isclose(result.coefficient, 0.6, abs_tol=1e-9)
     assert result.n_common == 4
 
 
-def test_default_method_is_spearman():
+def test_spearman_correlates_ranks_and_pearson_scores():
     # ranks agree exactly, raw scores do not lie on a line
     a = ranking_of([1, 2, 100])
     b = ranking_of([1, 2, 3])
-    assert correlate(a, b).coefficient == correlate(a, b, METHOD_SPEARMAN).coefficient == 1.0
+    assert correlate(a, b, METHOD_SPEARMAN).coefficient == 1.0
     pearson = correlate(a, b, METHOD_PEARSON).coefficient
     assert math.isclose(pearson, 0.8704, abs_tol=1e-4)
 
 
 def test_identical_rankings_are_one():
     a = ranking_of([5, 4, 3, 2, 1])
-    assert abs(correlate(a, a).coefficient - 1.0) < 1e-12
+    assert abs(correlate(a, a, METHOD_SPEARMAN).coefficient - 1.0) < 1e-12
 
 
 def test_reversed_rankings_are_minus_one():
     a = ranking_of([5, 4, 3, 2, 1])
     b = ranking_of([1, 2, 3, 4, 5])
-    assert abs(correlate(a, b).coefficient + 1.0) < 1e-12
+    assert abs(correlate(a, b, METHOD_SPEARMAN).coefficient + 1.0) < 1e-12
 
 
 def test_small_intersection_refused():
-    a = ranking_from_scores({1: 1.0, 2: 2.0})
-    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0})
+    a = ranking_from_scores({1: 1.0, 2: 2.0}, {}, name="")
+    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0}, {}, name="")
     with pytest.raises(CorrelationError, match="2"):
-        correlate(a, b)
+        correlate(a, b, METHOD_SPEARMAN)
 
 
 def test_correlate_over_intersection_only():
-    a = ranking_from_scores({1: 3.0, 2: 2.0, 3: 1.0, 99: 50.0})
-    b = ranking_from_scores({1: 30.0, 2: 20.0, 3: 10.0, 42: 5.0})
-    result = correlate(a, b)
+    a = ranking_from_scores({1: 3.0, 2: 2.0, 3: 1.0, 99: 50.0}, {}, name="")
+    b = ranking_from_scores({1: 30.0, 2: 20.0, 3: 10.0, 42: 5.0}, {}, name="")
+    result = correlate(a, b, METHOD_SPEARMAN)
     assert result.n_common == 3
     assert abs(result.coefficient - 1.0) < 1e-12
 
@@ -220,9 +220,10 @@ def test_correlate_over_intersection_only():
 def test_spearman_handles_ties_with_average_ranks():
     # hand computation: a = (1,1,2) has ranks (1.5,1.5,3), centred (-.5,-.5,1);
     # b's ranks (1,2,3) centre to (-1,0,1); r = 1.5 / sqrt(1.5 * 2) = sqrt(3)/2
-    a = ranking_from_scores({1: 1.0, 2: 1.0, 3: 2.0})
-    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0})
-    assert math.isclose(correlate(a, b).coefficient, math.sqrt(3) / 2, abs_tol=1e-12)
+    a = ranking_from_scores({1: 1.0, 2: 1.0, 3: 2.0}, {}, name="")
+    b = ranking_from_scores({1: 1.0, 2: 2.0, 3: 3.0}, {}, name="")
+    coefficient = correlate(a, b, METHOD_SPEARMAN).coefficient
+    assert math.isclose(coefficient, math.sqrt(3) / 2, abs_tol=1e-12)
 
 
 def oracle_average_ranks(values):
@@ -246,31 +247,31 @@ def test_pearson_on_scores():
 def test_spearman_symmetry_and_monotone_invariance(scores):
     a = ranking_of(scores)
     b = ranking_of(list(reversed(scores)))
-    ab = correlate(a, b).coefficient
-    ba = correlate(b, a).coefficient
+    ab = correlate(a, b, METHOD_SPEARMAN).coefficient
+    ba = correlate(b, a, METHOD_SPEARMAN).coefficient
     assert abs(ab - ba) < 1e-12
     # strictly increasing transform of one side leaves spearman unchanged
     transformed = ranking_of([s * 3 + 7 for s in scores])
-    assert abs(correlate(transformed, b).coefficient - ab) < 1e-12
+    assert abs(correlate(transformed, b, METHOD_SPEARMAN).coefficient - ab) < 1e-12
 
 
 def test_matrix_2x2():
     a = ranking_of([1, 2, 3])
-    m = correlation_matrix([a, a])
+    m = correlation_matrix([a, a], METHOD_SPEARMAN)
     assert len(m) == 2 and all(len(row) == 2 for row in m)
     assert all(math.isclose(v, 1.0) for row in m for v in row)
 
 
 def test_matrix_duplicate_ranking_offdiag_one():
     a = ranking_of([3, 1, 2, 5])
-    m = correlation_matrix([a, ranking_of([9, 2, 4]), a])
+    m = correlation_matrix([a, ranking_of([9, 2, 4]), a], METHOD_SPEARMAN)
     assert abs(m[0][2] - 1.0) < 1e-12
 
 
 def test_matrix_unavailable_cell_is_nan():
     a = ranking_of([1, 2, 3])
-    b = ranking_from_scores({10: 1.0, 11: 2.0, 12: 3.0})
-    m = correlation_matrix([a, b])
+    b = ranking_from_scores({10: 1.0, 11: 2.0, 12: 3.0}, {}, name="")
+    m = correlation_matrix([a, b], METHOD_SPEARMAN)
     assert math.isnan(m[0][1]) and math.isnan(m[1][0])
     assert m[0][0] == m[1][1] == 1.0
 
@@ -286,16 +287,16 @@ def test_nested_cohorts_all_positive():
                                year=year, views=views))
     cohorts = [None, 1900, 1948, 1965, 1980]
     rankings = [
-        rank_universities(apply_filter(records, FilterSpec(min_birth_year=y)))
+        rank_universities(apply_filter(records, FilterSpec(min_birth_year=y)), name="")
         for y in cohorts
     ]
-    m = correlation_matrix(rankings)
+    m = correlation_matrix(rankings, METHOD_SPEARMAN)
     assert all(v > 0 for row in m for v in row)
 
 
 def test_render_matrix_lower_triangular():
     a = ranking_of([1, 2, 3])
-    text = render_matrix(correlation_matrix([a, a]), ["first", "second"])
+    text = render_matrix(correlation_matrix([a, a], METHOD_SPEARMAN), ["first", "second"])
     lines = text.splitlines()
     assert lines[1].split("\t") == ["first", "1.00", ""]
     assert lines[2].split("\t") == ["second", "1.00", "1.00"]

@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -23,9 +24,10 @@ from wikialumni.cli import (
     run_views,
 )
 from wikialumni.config import load_config
+from wikialumni.dump import shard_spans
 from wikialumni.errors import ConfigError, RegistryError
 
-from conftest import child_env, make_dump_xml
+from conftest import child_env, make_dump_xml, page_xml
 from mini_corpus import (
     EXPECTED_DATASET,
     EXPECTED_UNIVERSITY_VIEWS,
@@ -374,6 +376,28 @@ def test_damaged_output_dir_is_one_error_line(project, config, damage):
     assert not (config.output_dir / DATASET_NAME).exists()
 
 
+@pytest.mark.parametrize("damage", ["redirects/en.tsv", "persons/ru"])
+def test_ingest_repairs_damaged_output_dir(project, config, damage):
+    run_ingest(config, echo=quiet)
+    path = config.output_dir / damage
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 0, result.output
+    assert "nothing to do" not in result.output
+    assert path.exists()
+    result = CliRunner().invoke(main, ["extract", "-c", str(project)])
+    assert result.exit_code == 0, result.output
+    records = alumni.read_dataset(config.output_dir / DATASET_NAME)
+    got = [
+        (r.university_id, r.university_name, r.person_link, r.birth_year, r.lang)
+        for r in records
+    ]
+    assert got == EXPECTED_DATASET
+
+
 @pytest.mark.parametrize(
     "command, name, stages",
     [
@@ -452,16 +476,16 @@ def test_ingest_entry_larger_than_pipe_buffer(project, config):
     "lang, death", [("en", "exit"), ("ru", "exit"), ("en", "sigkill"), ("ru", "sigkill")]
 )
 def test_dead_worker_is_one_error_line(project, config, monkeypatch, deadline, lang, death):
-    ingest_language = cli._ingest_language
+    ingest_shard = cli._ingest_shard
 
-    def dying(lang_cfg, out, analysis_year):
+    def dying(lang_cfg, span, out, analysis_year):
         if lang_cfg.code == lang:
             if death == "exit":
                 os._exit(3)
             os.kill(os.getpid(), signal.SIGKILL)
-        return ingest_language(lang_cfg, out, analysis_year)
+        return ingest_shard(lang_cfg, span, out, analysis_year)
 
-    monkeypatch.setattr(cli, "_ingest_language", dying)
+    monkeypatch.setattr(cli, "_ingest_shard", dying)
     result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
     assert result.exit_code == 1
     (line,) = result.output.splitlines()
@@ -473,10 +497,10 @@ def test_dead_worker_is_one_error_line(project, config, monkeypatch, deadline, l
 
 
 def test_failed_workers_print_whole_tracebacks(project, monkeypatch, deadline, capfd):
-    def failing(lang_cfg, out, analysis_year):
+    def failing(lang_cfg, span, out, analysis_year):
         raise RuntimeError(f"boom-{lang_cfg.code}")
 
-    monkeypatch.setattr(cli, "_ingest_language", failing)
+    monkeypatch.setattr(cli, "_ingest_shard", failing)
     result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
     assert result.exit_code == 1
     # the en worker is awaited first; ru may be killed before it reports
@@ -503,3 +527,106 @@ def test_worker_width_does_not_change_outputs(tmp_path, monkeypatch, deadline):
         runs.append((files, lines))
     assert runs[0] == runs[1]
     assert runs[0][1] == ["ingest: en: 29 pages, 6 persons", "ingest: ru: 8 pages, 1 persons"]
+
+
+def filler(page_id):
+    return dict(title=f"Filler {page_id}", page_id=page_id, text="A plain article. " * 20)
+
+
+BROKEN_PAGE = "<page><title>Broken</title><ns>0</ns><id>8</id></oops></page>"
+
+
+def sharding_dump(broken):
+    """A one-language dump whose cuts at 2, 3 and 4 CPUs separate the
+    hops of one redirect chain and the two pages of one doubly
+    redirected title; the cut at 3 CPUs lands on a <page> inside a
+    comment.  broken puts a malformed page at the "end" of the dump or
+    in the "middle", before a person page, or nowhere (None)."""
+    first = [
+        dict(title="Hop A", page_id=1, redirect="Hop B"),
+        dict(title="Twice", page_id=2, redirect="Alpha Target"),
+        dict(title="Zed Early", page_id=3,
+             text="Zed Early was born in 1950. He graduated from [[Harvard University]]."),
+    ]
+    middle = [dict(title="Hop B", page_id=4, redirect="Hop C")]
+    last = [
+        dict(title="Yan Undated", page_id=5,
+             text="Yan Undated was born long ago. He graduated from [[Harvard University]]."),
+        dict(title="Hop C", page_id=6, redirect="Harvard University"),
+        dict(title="Twice", page_id=7, redirect="Beta Target"),
+    ]
+    unit = len(page_xml(**filler(1000)))
+    body = (
+        "".join(page_xml(**p) for p in first)
+        + "".join(page_xml(**filler(100 + i)) for i in range(27))
+        + f"<!-- {'x' * 8 * unit} <page> -->"
+        + "".join(page_xml(**filler(200 + i)) for i in range(18))
+        + (BROKEN_PAGE if broken == "middle" else "")
+        + "".join(page_xml(**p) for p in middle)
+        + "".join(page_xml(**filler(300 + i)) for i in range(40))
+        + "".join(page_xml(**p) for p in last)
+        + (BROKEN_PAGE if broken == "end" else "")
+    )
+    return make_dump_xml([]).replace("</siteinfo>", "</siteinfo>" + body)
+
+
+@pytest.mark.parametrize("broken", [None, "end", "middle"], ids=["ok", "end", "middle"])
+def test_shard_count_does_not_change_outputs(tmp_path, monkeypatch, deadline, broken):
+    project = build_mini_project(tmp_path / "proj")
+    text = project.read_text(encoding="utf-8")
+    ru = '  - code: ru\n    dump: ru.xml\n    dictionary: ru_dict.txt\n    dump_date: "2018-09-01"\n'
+    project.write_text(text.replace(ru, ""), encoding="utf-8")
+    dump = project.parent / "en.xml"
+    dump.write_text(sharding_dump(broken), encoding="utf-8")
+    raw = dump.read_bytes()
+    config = load_config(project)
+    runs = []
+    for width in (1, 2, 3, 4):
+        spans = shard_spans(str(dump), width)
+        cuts = [start for start, _end in spans[1:]]
+        assert len(spans) == width
+        if width > 1:
+            hops = [raw.index(f"<title>Hop {h}</title>".encode()) for h in "AC"]
+            twice = [m.start() for m in re.finditer(b"<title>Twice</title>", raw)]
+            assert any(hops[0] < cut < hops[1] for cut in cuts)
+            assert any(twice[0] < cut < twice[1] for cut in cuts)
+            in_comment = [raw.rfind(b"<!--", 0, cut) > raw.rfind(b"-->", 0, cut) for cut in cuts]
+            assert any(in_comment) == (width == 3)
+            if broken:
+                assert raw.index(b"<title>Broken</title>") > cuts[0]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, width=width: set(range(width)))
+        shutil.rmtree(config.output_dir, ignore_errors=True)
+        lines = []
+        code = run_ingest(config, echo=lambda msg, err=False: lines.append((err, msg)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        out = config.output_dir
+        files = {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        }
+        runs.append((files, lines, code))
+    assert all(run == runs[0] for run in runs[1:])
+
+    files, lines, code = runs[0]
+    persons = sorted(name for name in files if name.startswith("persons/"))
+    if broken:
+        assert code == 1
+        ((err, line),) = lines
+        assert err and line.startswith("ingest: en: FAILED: ") and "malformed XML" in line
+        assert "redirects/en.tsv" not in files
+        # the unsplit run stops at the broken page; later shards' persons are gone
+        assert persons == ["persons/en/page_3_1950.xml"] + (
+            ["persons/en/page_5_.xml"] if broken == "end" else []
+        )
+    else:
+        assert code == 0
+        assert lines == [(False, "ingest: en: 92 pages, 2 persons")]
+        assert persons == ["persons/en/page_3_1950.xml", "persons/en/page_5_.xml"]
+        assert files["redirects/en.tsv"].decode().splitlines() == [
+            "Hop A\tHarvard University",
+            "Hop B\tHarvard University",
+            "Hop C\tHarvard University",
+            "Twice\tBeta Target",
+        ]

@@ -4,8 +4,10 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wikialumni.dump import DumpSource, collect_redirects, stream_pages
+from wikialumni import dump
+from wikialumni.dump import WHOLE, DumpSource, collect_redirects, shard_spans, stream_pages
 from wikialumni.errors import DumpFormatError, DumpParseError, DumpTruncatedError
 
 from conftest import make_dump_xml, write_dump
@@ -204,3 +206,91 @@ def test_redirect_chain_cap(tmp_path):
     assert "T19" in mapping and mapping["T19"] == "T20"
     assert "T0" in bad
     assert not set(mapping) & bad
+
+
+# ----------------------------------------------------------------- shards
+
+def shard_pages(path, n):
+    return [p for span in shard_spans(str(path), n) for p in stream_pages(source(path), span)]
+
+
+def check_cuts(raw, spans, n):
+    """Spans tile the file from 0 to its end; cuts ascend, are distinct,
+    each lands on <page>, and none falls inside the prefix."""
+    assert 1 <= len(spans) <= n
+    assert spans[0][0] == 0 and spans[-1][1] is None
+    assert all(left[1] == right[0] for left, right in zip(spans, spans[1:]))
+    cuts = [start for start, _end in spans[1:]]
+    assert cuts == sorted(set(cuts))
+    first = raw.find(b"<page>")
+    assert all(raw[cut:cut + 6] == b"<page>" and cut > first for cut in cuts)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    texts=st.lists(st.text(alphabet="ab <>&]\n\u00e9", max_size=60), max_size=12),
+    n=st.integers(1, 6),
+    scan=st.integers(1, 40),
+    namespaced=st.booleans(),
+)
+def test_shards_yield_the_whole_dump(tmp_path, monkeypatch, texts, n, scan, namespaced):
+    pages = [dict(title=f"P{i}", page_id=i, text=t) for i, t in enumerate(texts)]
+    path = write_dump(tmp_path, pages, namespaced=namespaced)
+    monkeypatch.setattr(dump, "_SCAN_SIZE", scan)  # reads small enough to split tags
+    spans = shard_spans(str(path), n)
+    check_cuts(path.read_bytes(), spans, n)
+    assert shard_pages(path, n) == list(stream_pages(source(path)))
+
+
+def test_cut_straddling_a_read_edge_is_found(tmp_path, monkeypatch):
+    pages = [dict(title=f"P{i}", page_id=i, text="x" * 50) for i in range(10)]
+    path = write_dump(tmp_path, pages)
+    raw = path.read_bytes()
+    ((_, cut), _last) = spans = shard_spans(str(path), 2)
+    check_cuts(raw, spans, 2)
+    target = len(raw) // 2
+    assert raw[cut:cut + 6] == b"<page>" and cut > target
+    # the first read from the target ends three bytes into the tag
+    monkeypatch.setattr(dump, "_SCAN_SIZE", cut - target + 3)
+    assert shard_spans(str(path), 2) == [(0, cut), (cut, None)]
+
+
+@pytest.mark.parametrize("compress", [gzip.compress, bz2.compress], ids=["gzip", "bz2"])
+def test_compressed_dump_is_one_span(tmp_path, compress):
+    pages = [dict(title=f"P{i}", page_id=i, text="<page> " * 20) for i in range(50)]
+    path = tmp_path / "dump.bin"
+    path.write_bytes(compress(make_dump_xml(pages).encode("utf-8")))
+    assert shard_spans(str(path), 4) == [WHOLE]
+    assert len(shard_pages(path, 4)) == 50
+
+
+def test_prefixed_page_tags_are_one_span(tmp_path):
+    raw = make_dump_xml(THREE_PAGES, namespaced=False)
+    raw = raw.replace("<mediawiki>", '<mediawiki xmlns:mw="urn:x">')
+    path = tmp_path / "dump.xml"
+    path.write_text(raw.replace("<page>", "<mw:page>").replace("</page>", "</mw:page>"))
+    assert shard_spans(str(path), 3) == [WHOLE]
+    assert [p.title for p in shard_pages(path, 3)] == ["Alpha", "Beta", "Gamma"]
+
+
+@pytest.mark.parametrize(
+    "opener, closer",
+    [("<!-- ", " <page> -->"), ("<![CDATA[", "<page>]]>"), ("<?pi ", " <page> ?>")],
+    ids=["comment", "cdata", "pi"],
+)
+def test_cut_inside_markup_fails_its_left_shard(tmp_path, opener, closer):
+    pages = [dict(title=f"P{i}", page_id=i, text="x" * 50) for i in range(10)]
+    raw = make_dump_xml(pages)
+    at = raw.index("<page><title>P5<")
+    if opener == "<![CDATA[":  # character data: inside a page's text
+        at = raw.index("</text>", at)
+    hidden = opener + "y" * 4000 + closer  # the middle of the file falls in the padding
+    path = tmp_path / "dump.xml"
+    path.write_text(raw[:at] + hidden + raw[at:], encoding="utf-8")
+    spans = shard_spans(str(path), 2)
+    assert spans[1][0] == at + hidden.index("<page>")
+    with pytest.raises((DumpParseError, DumpTruncatedError)):
+        list(stream_pages(source(path), spans[0]))
+    assert len(list(stream_pages(source(path)))) == 10

@@ -28,7 +28,7 @@ from conftest import (
 def table_fixture_client(tmp_path):
     views = [("en", person, 2017, total) for _, _, person, _, total in TABLE45]
     views_path = write_views_fixture(tmp_path / "views.tsv", views)
-    return ViewClient(FixtureBackend(views_path), ViewCache(tmp_path / "cache"))
+    return ViewClient(FixtureBackend(views_path, None), ViewCache(tmp_path / "cache"))
 
 
 def test_fixture_markle(table_fixture_client):
@@ -46,7 +46,8 @@ def test_monthly_rows_sum(tmp_path):
     # the live API returns monthly buckets; the fixture stores the total
     rows = [("en", "Page", 2017, 12 * 100)]
     client = ViewClient(
-        FixtureBackend(write_views_fixture(tmp_path / "v.tsv", rows)), ViewCache(tmp_path / "cache")
+        FixtureBackend(write_views_fixture(tmp_path / "v.tsv", rows), None),
+        ViewCache(tmp_path / "cache"),
     )
     assert client.fetch_views("Page", "en", 2017) == 1200
 
@@ -64,8 +65,8 @@ def test_cache_serves_repeat_requests(table_fixture_client):
 def test_warm_cache_issues_zero_requests(tmp_path):
     views_path = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
     cache_dir = tmp_path / "cache"
-    ViewClient(FixtureBackend(views_path), ViewCache(cache_dir)).fetch_views("A", "en", 2017)
-    fresh_backend = FixtureBackend(views_path)
+    ViewClient(FixtureBackend(views_path, None), ViewCache(cache_dir)).fetch_views("A", "en", 2017)
+    fresh_backend = FixtureBackend(views_path, None)
     client = ViewClient(fresh_backend, ViewCache(cache_dir))
     assert client.fetch_views("A", "en", 2017) == 5
     assert fresh_backend.request_count == 0
@@ -76,7 +77,7 @@ def test_resolve_english_fixture_and_cache(tmp_path):
         tmp_path / "links.tsv",
         [("ru", "Путин, Владимир Владимирович", "Vladimir Putin")],
     )
-    backend = FixtureBackend(None, links)
+    backend = FixtureBackend(write_views_fixture(tmp_path / "v.tsv", []), links)
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
     assert client.resolve_english("Путин, Владимир Владимирович", "ru") == "Vladimir Putin"
     count = backend.request_count
@@ -86,13 +87,17 @@ def test_resolve_english_fixture_and_cache(tmp_path):
 
 
 def test_resolve_english_no_counterpart(tmp_path):
-    backend = FixtureBackend(None, write_langlinks_fixture(tmp_path / "l.tsv", []))
+    backend = FixtureBackend(
+        write_views_fixture(tmp_path / "v.tsv", []), write_langlinks_fixture(tmp_path / "l.tsv", [])
+    )
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
     assert client.resolve_english("Неизвестный", "ru") is None
 
 
 def test_cached_no_counterpart_is_a_hit(tmp_path):
-    backend = FixtureBackend(None, write_langlinks_fixture(tmp_path / "l.tsv", []))
+    backend = FixtureBackend(
+        write_views_fixture(tmp_path / "v.tsv", []), write_langlinks_fixture(tmp_path / "l.tsv", [])
+    )
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
     assert client.resolve_english("Неизвестный", "ru") is None
     count = backend.request_count
@@ -105,14 +110,14 @@ LONG_TITLE = "Московский государственный универс
 
 def test_cache_takes_titles_too_long_for_a_file_name(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("ru", LONG_TITLE, 2017, 42)])
-    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
     assert client.fetch_views(LONG_TITLE, "ru", 2017) == 42
     assert client.fetch_views(LONG_TITLE, "ru", 2017) == 42
     assert client.backend.request_count == 1
     registry = load_registry(
         write_universities_file(tmp_path / "u.tsv", [(1, "MSU", "ru", LONG_TITLE)])
     )
-    fresh = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache2"))
+    fresh = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache2"))
     assert university_views(registry, 2017, fresh) == {1: 42}
 
 
@@ -258,7 +263,7 @@ def views_payload(n):
 
 def test_fixture_filled_cache_is_not_served_to_a_live_run(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
-    ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
     backend = live_backend([FakeResponse(200, views_payload(7))])
     assert ViewClient(backend, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 7
     assert backend.request_count == 1
@@ -341,7 +346,7 @@ def test_university_views_sums_languages(tmp_path):
             ("en", "Solo University", 2017, 77),
         ],
     )
-    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
     assert university_views(registry, 2017, client) == {1: 1200, 2: 77}
 
 
@@ -355,7 +360,7 @@ def test_university_views_exclude_aliases(tmp_path):
         tmp_path / "v.tsv",
         [("en", "Example University", 2017, 1000), ("en", "Example", 2017, 500)],
     )
-    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
     assert university_views(registry, 2017, client) == {1: 1000}
 
 
@@ -367,5 +372,5 @@ def test_fixture_mode_is_hermetic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(socket.socket, "connect", no_network)
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 1)])
-    client = ViewClient(FixtureBackend(views), ViewCache(tmp_path / "cache"))
+    client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
     assert client.fetch_views("A", "en", 2017) == 1

@@ -135,6 +135,49 @@ def test_birth_year_matches_oracle_on_random_text(text):
     assert extract_birth_year(page(text), CURRENT_YEAR) == oracle_birth_year(text)
 
 
+# every separator str.split() knows, some in runs
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2002\u2028\u2029\u3000"
+
+
+def split_all_birth_year(text, window=WORD_WINDOW):
+    """The earlier definition: split the whole text, keep the first
+    window words."""
+    for word in text.split()[:window]:
+        for match in re.finditer(r"(?<!\d)\d{4}(?!\d)", word):
+            if BIRTH_YEAR_MIN <= int(match.group()) <= CURRENT_YEAR:
+                return int(match.group())
+    return None
+
+
+def test_birth_year_window_with_mixed_whitespace():
+    # out-of-range years and plain words up to the window, the only
+    # valid years after it, separated by runs of mixed whitespace
+    words = [f"{i % 700:04d}" if i % 2 else f"w{i}" for i in range(WORD_WINDOW)]
+    words += ["1950", "1960"] + ["w"] * 50
+
+    def text():
+        seps = [WHITESPACE[i % len(WHITESPACE)] * (1 + i % 3) for i in range(len(words))]
+        return "\u3000\n" + "".join(w + sep for w, sep in zip(words, seps))
+
+    assert len(text().split()) > 1000
+    assert extract_birth_year(page(text()), CURRENT_YEAR) is None
+    assert split_all_birth_year(text()) is None
+    words[WORD_WINDOW - 1] = "1940"
+    assert extract_birth_year(page(text()), CURRENT_YEAR) == 1940
+    assert split_all_birth_year(text()) == 1940
+
+
+@given(
+    st.lists(st.sampled_from(["1950", "0700", "19", "a"] + list(WHITESPACE)), max_size=30),
+    st.integers(1, 6),
+)
+def test_birth_year_matches_split_all_definition(pieces, window):
+    text = "".join(pieces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("wikialumni.persons.WORD_WINDOW", window)
+        assert extract_birth_year(page(text), CURRENT_YEAR) == split_all_birth_year(text, window)
+
+
 @given(st.integers(1000, 2018))
 def test_window_property_junk_prefix_flips_to_empty(year):
     text = f"born {year} and so on"
