@@ -4,6 +4,7 @@ cache dir and rate limit."""
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -160,10 +161,10 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     cache_dir = os.environ.get(ENV_CACHE_DIR) or raw.get("cache_dir", "cache")
     rate_env = os.environ.get(ENV_RATE_LIMIT)
-    rate_limit = (
-        _number(float, ENV_RATE_LIMIT, rate_env) if rate_env
-        else _number(float, "pageviews.rate_limit", pv.get("rate_limit", 1.0))
-    )
+    rate_key = ENV_RATE_LIMIT if rate_env else "pageviews.rate_limit"
+    rate_limit = _number(float, rate_key, rate_env or pv.get("rate_limit", 1.0))
+    if not 0 < rate_limit < math.inf:  # 0, a negative, nan or inf would turn limiting off
+        raise ConfigError(f"{rate_key} must be a positive finite number, got {rate_limit!r}")
 
     externals = tuple(
         ExternalRankingConfig(

@@ -5,6 +5,11 @@ Wikimedia REST/action APIs (rate limited, retried) and a hermetic
 fixture backend reading local tab-separated files.  All lookups go
 through one SQLite cache keyed by backend, agent, kind, lang, title and
 year; with a warm cache a re-run issues zero backend requests.
+
+A lookup outside a batch is committed at once.  Inside enrich_records
+and university_views the fetched lookups are committed every
+WRITE_BATCH (50) fetches and at the end, so a SIGKILLed views run loses
+at most the last 49 fetched lookups, which the next run fetches again.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import sqlite3
 import time
 import urllib.parse
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -34,6 +40,9 @@ LANGLINKS_URL = "https://{lang}.wikipedia.org/w/api.php"
 
 RETRIES = 3  # attempts per live request
 BACKOFF_BASE_S = 1.0  # sleep before retry n (from 0) is BACKOFF_BASE_S * 2**n
+RETRY_AFTER_CAP_S = 60.0  # longest wait a 429's Retry-After header can ask for
+
+WRITE_BATCH = 50  # fetched lookups per cache transaction inside ViewClient.batch()
 
 
 class Backend(Protocol):
@@ -125,9 +134,12 @@ class LiveBackend:
 
     def _get(self, url: str, params=None):
         """GET and decode JSON; None on 404.  Transport errors, 5xx and
-        429 are retried; every other failure raises FetchError."""
+        429 are retried, after the wait a 429's Retry-After header asks
+        for or else the exponential backoff; every other failure raises
+        FetchError."""
         last_exc = None
         for attempt in range(RETRIES):
+            wait = None  # seconds a 429 asked for, if it said
             self.rate_limiter.wait()
             self.request_count += 1
             try:
@@ -143,10 +155,12 @@ class LiveBackend:
                     except ValueError as exc:
                         raise FetchError(f"malformed JSON from {url}") from exc
                 last_exc = FetchError(f"HTTP {resp.status_code} from {url}")
-                if resp.status_code != 429 and resp.status_code < 500:
+                if resp.status_code == 429:
+                    wait = _retry_after(resp.headers.get("Retry-After"))
+                elif resp.status_code < 500:
                     raise last_exc
             if attempt + 1 < RETRIES:
-                self._sleep(BACKOFF_BASE_S * 2**attempt)
+                self._sleep(BACKOFF_BASE_S * 2**attempt if wait is None else wait)
         raise FetchError(f"request failed after {RETRIES} attempts: {url}") from last_exc
 
     def get_views(self, title: str, lang: str, year: int) -> tuple[int, bool]:
@@ -182,10 +196,34 @@ class LiveBackend:
         return None
 
 
+def _retry_after(value: str | None) -> float | None:
+    """The seconds a Retry-After header (RFC 9110: delta-seconds or an
+    HTTP date) asks to wait, at most RETRY_AFTER_CAP_S; None when the
+    header is missing or malformed."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        seconds = float(value)
+    else:
+        import email.utils  # only a 429 pays for the import
+
+        try:  # parsedate_tz gives None for a string that is no date at all
+            seconds = email.utils.mktime_tz(email.utils.parsedate_tz(value)) - time.time()
+        except (TypeError, ValueError, IndexError, OverflowError):
+            return None
+    return min(max(seconds, 0.0), RETRY_AFTER_CAP_S)
+
+
 class ViewCache:
-    """Lookup results in one SQLite table, cache_dir/pageviews.sqlite.  Each
-    put commits at once (autocommit, WAL): another ViewCache on the same
-    directory sees it, and a killed run keeps what it committed."""
+    """Lookup results in one SQLite table, cache_dir/pageviews.sqlite (WAL).
+    Each put writes its rows in one short transaction: another ViewCache
+    on the same directory sees them at once, and a killed run keeps every
+    put it finished.  A lookup outside a batch is committed at once;
+    inside enrich_records and university_views, lookups are committed
+    every WRITE_BATCH (50) fetches and at the end, so a SIGKILLed views
+    run loses at most the last 49 fetched lookups, which the next run
+    fetches again."""
 
     def __init__(self, cache_dir: str | Path):
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
@@ -216,30 +254,69 @@ class ViewCache:
         ).fetchone()
         return None if row is None else row[0]
 
-    def put(self, key: tuple[str, str, str, str, int], value: str) -> None:
-        self._db.execute("INSERT OR REPLACE INTO lookups VALUES (?, ?, ?, ?, ?, ?)", (*key, value))
+    def put(self, rows: list[tuple[str, str, str, str, int, str]]) -> None:
+        """Write (backend, kind, lang, title, year, value) rows in one
+        transaction."""
+        self._db.execute("BEGIN IMMEDIATE")
+        with self._db:  # commits, or rolls back on an error
+            self._db.executemany("INSERT OR REPLACE INTO lookups VALUES (?, ?, ?, ?, ?, ?)", rows)
 
     def close(self) -> None:
         self._close()
 
 
 class ViewClient:
-    """Backend + cache front door used by the pipeline."""
+    """Backend + cache front door used by the pipeline.
+
+    A lookup outside a batch() scope is committed at once.  Inside one,
+    as in enrich_records and university_views, fetched values wait in a
+    pending map, which every lookup checks before the database, and are
+    committed every WRITE_BATCH (50) fetches and when the scope exits,
+    normally or by an exception.  So a SIGKILLed views run loses at most
+    the last 49 fetched lookups, which the next run fetches again.  No
+    transaction stays open across a backend call, which for the live API
+    can take seconds while another process shares cache_dir.
+    """
 
     def __init__(self, backend: Backend, cache: ViewCache):
         self.backend = backend
         self.cache = cache
+        self._pending: dict[tuple[str, str, str, str, int], str] | None = None  # None: no batch
+
+    @contextmanager
+    def batch(self):
+        """Commit the lookups fetched in this scope WRITE_BATCH at a time."""
+        self._pending = pending = {}
+        try:
+            yield
+        finally:
+            self._pending = None
+            self._write(pending)
+
+    def _write(self, pending: dict) -> None:
+        if pending:
+            self.cache.put([(*key, text) for key, text in pending.items()])
+            pending.clear()
 
     def _lookup(self, kind: str, lang: str, title: str, year: int, call):
         """The value cached for this backend if any, else call()'s, cached
         as JSON text so a cached None is a hit too.  Language links use
         year 0, since a NULL key column never matches."""
         key = (f"{self.backend.source}:{self.backend.agent}", kind, lang, title, year)
-        hit = self.cache.get(key)
+        pending = self._pending
+        hit = pending.get(key) if pending else None
+        if hit is None:
+            hit = self.cache.get(key)
         if hit is not None:
             return json.loads(hit)
         value = call()
-        self.cache.put(key, json.dumps(value))
+        text = json.dumps(value)
+        if pending is None:
+            self.cache.put([(*key, text)])
+        else:
+            pending[key] = text
+            if len(pending) >= WRITE_BATCH:
+                self._write(pending)
         return value
 
     def fetch_views(self, title: str, lang: str, year: int) -> int:
@@ -267,17 +344,18 @@ def enrich_records(
     views_total left empty; the pipeline continues.
     """
     out = []
-    for rec in records:
-        try:
-            title_en = rec.person_link_en
-            if rec.lang != "en" and title_en is None:
-                title_en = client.resolve_english(rec.person_link, rec.lang)
-            total = client.fetch_views(rec.person_link, rec.lang, year)
-            if rec.lang != "en" and title_en and title_en != rec.person_link:
-                total += client.fetch_views(title_en, "en", year)
-            out.append(replace(rec, person_link_en=title_en, views_total=total))
-        except FetchError:
-            out.append(replace(rec, unresolved=True, views_total=None))
+    with client.batch():
+        for rec in records:
+            try:
+                title_en = rec.person_link_en
+                if rec.lang != "en" and title_en is None:
+                    title_en = client.resolve_english(rec.person_link, rec.lang)
+                total = client.fetch_views(rec.person_link, rec.lang, year)
+                if rec.lang != "en" and title_en and title_en != rec.person_link:
+                    total += client.fetch_views(title_en, "en", year)
+                out.append(replace(rec, person_link_en=title_en, views_total=total))
+            except FetchError:
+                out.append(replace(rec, unresolved=True, views_total=None))
     return out
 
 
@@ -287,9 +365,10 @@ def university_views(
     """Per university, the view sum over its canonical title in each
     language (aliases excluded)."""
     totals: dict[int, int] = {}
-    for uid, uni in sorted(registry.universities.items()):
-        total = 0
-        for lang, title in sorted(uni.canonical_titles.items()):
-            total += client.fetch_views(title, lang, year)
-        totals[uid] = total
+    with client.batch():
+        for uid, uni in sorted(registry.universities.items()):
+            total = 0
+            for lang, title in sorted(uni.canonical_titles.items()):
+                total += client.fetch_views(title, lang, year)
+            totals[uid] = total
     return totals

@@ -118,3 +118,21 @@ def test_non_numeric_rate_limit_env_is_config_error(project, monkeypatch):
     assert result.exit_code == 2
     (line,) = result.output.splitlines()
     assert line.startswith("config error: ") and ENV_RATE_LIMIT in line
+
+
+@pytest.mark.parametrize("value", ["0", "-2", ".nan", ".inf"])
+def test_rate_limit_that_turns_limiting_off_is_config_error(project, value):
+    rewrite(project, "pageviews:\n", f"pageviews:\n  rate_limit: {value}\n")
+    result = CliRunner().invoke(main, ["views", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and "pageviews.rate_limit" in line
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
+def test_rate_limit_env_that_turns_limiting_off_is_config_error(project, monkeypatch, value):
+    monkeypatch.setenv(ENV_RATE_LIMIT, value)
+    result = CliRunner().invoke(main, ["views", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and ENV_RATE_LIMIT in line

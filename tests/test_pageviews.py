@@ -1,11 +1,18 @@
+import email.utils
 import gc
 import os
+import time
 
 import pytest
 
+from wikialumni import cli
 from wikialumni.alumni import AlumniRecord
+from wikialumni.config import load_config
 from wikialumni.errors import FetchError, WikiAlumniError
 from wikialumni.pageviews import (
+    BACKOFF_BASE_S,
+    RETRY_AFTER_CAP_S,
+    WRITE_BATCH,
     FixtureBackend,
     LiveBackend,
     RateLimiter,
@@ -22,6 +29,7 @@ from conftest import (
     write_universities_file,
     write_views_fixture,
 )
+from mini_corpus import build_mini_project
 
 
 @pytest.fixture
@@ -124,7 +132,7 @@ def test_cache_takes_titles_too_long_for_a_file_name(tmp_path):
 def test_second_cache_reads_a_put_before_the_first_closes(tmp_path):
     first = ViewCache(tmp_path / "cache")
     key = ("fixture:", "views", "en", "A", 2017)
-    first.put(key, "[5, false]")
+    first.put([(*key, "[5, false]")])
     second = ViewCache(tmp_path / "cache")
     assert second.get(key) == "[5, false]"
     assert second.get(("live_api:all-agents", "views", "en", "A", 2017)) is None
@@ -164,7 +172,7 @@ def test_dropped_cache_closes_its_files_without_gc(tmp_path):
     gc.disable()
     try:
         cache = ViewCache(tmp_path / "cache")
-        cache.put(("fixture:", "views", "en", "A", 2017), "[5, false]")
+        cache.put([("fixture:", "views", "en", "A", 2017, "[5, false]")])
         assert db_files <= set(open_files())
         del cache
         assert not db_files & set(open_files())
@@ -195,9 +203,10 @@ def test_rate_limiter_spacing():
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -220,12 +229,12 @@ class FakeSession:
         return self.responses.pop(0)
 
 
-def live_backend(responses, agent="all-agents"):
+def live_backend(responses, agent="all-agents", sleeps=None):
     return LiveBackend(
         rate_limiter=RateLimiter(0),
         session=FakeSession(responses),
         agent=agent,
-        sleep=lambda _t: None,
+        sleep=(lambda _t: None) if sleeps is None else sleeps.append,
     )
 
 
@@ -275,6 +284,61 @@ def test_live_agents_do_not_share_cache_entries(tmp_path):
     every = live_backend([FakeResponse(200, views_payload(8))])
     assert ViewClient(every, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 8
     assert every.request_count == 1
+
+
+def http_date(offset_s):
+    return email.utils.formatdate(time.time() + offset_s, usegmt=True)
+
+
+@pytest.mark.parametrize(
+    "retry_after, low, high",
+    [
+        ("7", 7, 7),
+        (" 12 ", 12, 12),
+        ("0", 0, 0),
+        ("86400", RETRY_AFTER_CAP_S, RETRY_AFTER_CAP_S),
+        (lambda: http_date(30), 25, 31),
+        (lambda: http_date(-3600), 0, 0),
+        (lambda: http_date(86400), RETRY_AFTER_CAP_S, RETRY_AFTER_CAP_S),
+    ],
+    ids=["seconds", "padded", "zero", "capped", "date", "past-date", "capped-date"],
+)
+def test_live_429_waits_as_retry_after_asks(retry_after, low, high):
+    value = retry_after() if callable(retry_after) else retry_after
+    sleeps = []
+    backend = live_backend(
+        [FakeResponse(429, headers={"Retry-After": value}), FakeResponse(200, views_payload(7))],
+        sleeps=sleeps,
+    )
+    assert backend.get_views("Page", "en", 2017) == (7, False)
+    (wait,) = sleeps
+    assert low <= wait <= high
+
+
+@pytest.mark.parametrize(
+    "retry_after",
+    [None, "soon", "-5", "1.5", "\u00b2", "", "Feb 1999 99999 00:00:00 -0000",
+     "Mon, 01 Jan 99999999999999999999 00:00:00 GMT"],
+    ids=["missing", "word", "negative", "fraction", "superscript", "empty", "bad-date",
+         "huge-year"],
+)
+def test_live_429_without_a_usable_retry_after_backs_off(retry_after):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    sleeps = []
+    backend = live_backend([FakeResponse(429, headers=headers)] * 3, sleeps=sleeps)
+    with pytest.raises(FetchError):
+        backend.get_views("Page", "en", 2017)
+    assert sleeps == [BACKOFF_BASE_S, BACKOFF_BASE_S * 2]
+
+
+def test_live_500_ignores_retry_after():
+    sleeps = []
+    backend = live_backend(
+        [FakeResponse(500, headers={"Retry-After": "30"}), FakeResponse(200, views_payload(7))],
+        sleeps=sleeps,
+    )
+    assert backend.get_views("Page", "en", 2017) == (7, False)
+    assert sleeps == [BACKOFF_BASE_S]
 
 
 def test_live_exhausted_retries_raise():
@@ -374,3 +438,112 @@ def test_fixture_mode_is_hermetic(tmp_path, monkeypatch):
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 1)])
     client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
     assert client.fetch_views("A", "en", 2017) == 1
+
+
+class CountingBackend:
+    """Views of every title are its length; request n (from 1) raises
+    fail_at.get(n) if there is one, and titles in fetch_errors raise
+    FetchError."""
+
+    source = "counting"
+    agent = ""
+
+    def __init__(self, fail_at=None, fetch_errors=()):
+        self.request_count = 0
+        self.asked = []
+        self.fail_at = fail_at or {}
+        self.fetch_errors = set(fetch_errors)
+
+    def get_views(self, title, lang, year):
+        self.request_count += 1
+        self.asked.append(title)
+        if self.request_count in self.fail_at:
+            raise self.fail_at[self.request_count]
+        if title in self.fetch_errors:
+            raise FetchError(f"{title} is down")
+        return len(title), False
+
+    def get_english_title(self, title, lang):
+        raise AssertionError("English records only")
+
+
+def titles(n):
+    return [f"Page {i:03d}" for i in range(n)]
+
+
+def cached(cache, title):
+    return cache.get(("counting:", "views", "en", title, 2017))
+
+
+def test_batch_asks_the_backend_once_per_distinct_lookup(tmp_path):
+    backend = CountingBackend()
+    client = ViewClient(backend, ViewCache(tmp_path / "cache"))
+    every = titles(120)
+    with client.batch():
+        # 60 fetched: 50 written, 10 pending; repeat them all, then the rest, then all again
+        for order in (every[:60], every[:60], every[60:], every, every[::-1]):
+            for title in order:
+                assert client.fetch_views(title, "en", 2017) == len(title)
+    assert backend.request_count == 120
+    assert sorted(backend.asked) == every
+
+
+def test_batch_commits_every_write_batch_fetches(tmp_path):
+    client = ViewClient(CountingBackend(), ViewCache(tmp_path / "cache"))
+    other = ViewCache(tmp_path / "cache")
+    every = titles(WRITE_BATCH + 10)
+    with client.batch():
+        for title in every[: WRITE_BATCH - 1]:
+            client.fetch_views(title, "en", 2017)
+        assert [cached(other, t) for t in every[: WRITE_BATCH - 1]] == [None] * (WRITE_BATCH - 1)
+        client.fetch_views(every[WRITE_BATCH - 1], "en", 2017)
+        assert all(cached(other, t) is not None for t in every[:WRITE_BATCH])
+        for title in every[WRITE_BATCH:]:
+            client.fetch_views(title, "en", 2017)
+        assert [cached(other, t) for t in every[WRITE_BATCH:]] == [None] * 10
+    assert all(cached(other, t) is not None for t in every)
+    other.close()
+
+
+def test_batch_that_raises_keeps_what_it_fetched(tmp_path):
+    records = [rec(title) for title in titles(100)]
+    failing = CountingBackend(fail_at={70: RuntimeError("backend crashed")})
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        enrich_records(records, 2017, ViewClient(failing, ViewCache(tmp_path / "cache")))
+    check = ViewCache(tmp_path / "cache")
+    assert [cached(check, t) is not None for t in titles(100)] == [True] * 69 + [False] * 31
+    rerun = CountingBackend()
+    out = enrich_records(records, 2017, ViewClient(rerun, ViewCache(tmp_path / "cache")))
+    assert rerun.asked == titles(100)[69:]
+    assert [r.views_total for r in out] == [len(t) for t in titles(100)]
+
+
+def test_fetch_error_is_never_cached_in_a_batch(tmp_path):
+    records = [rec(title) for title in titles(3)]
+    down = CountingBackend(fetch_errors={"Page 001"})
+    out = enrich_records(records, 2017, ViewClient(down, ViewCache(tmp_path / "cache")))
+    assert [r.unresolved for r in out] == [False, True, False]
+    assert cached(ViewCache(tmp_path / "cache"), "Page 001") is None
+    rerun = CountingBackend()
+    out = enrich_records(records, 2017, ViewClient(rerun, ViewCache(tmp_path / "cache")))
+    assert rerun.asked == ["Page 001"]
+    assert not any(r.unresolved for r in out)
+
+
+def test_warm_views_run_makes_no_backend_requests(tmp_path, monkeypatch):
+    config = load_config(build_mini_project(tmp_path / "proj"))
+    quiet = lambda *a, **k: None  # noqa: E731
+    assert cli.run_ingest(config, echo=quiet) == 0
+    assert cli.run_extract(config, echo=quiet) == 0
+    clients = []
+    build = cli.build_view_client
+
+    def capture(cfg):
+        clients.append(build(cfg))
+        return clients[-1]
+
+    monkeypatch.setattr(cli, "build_view_client", capture)
+    assert cli.run_views(config, echo=quiet) == 0
+    assert clients[0].backend.request_count > 0
+    assert cli.run_views(config, echo=quiet) == 0
+    assert clients[1].backend.request_count == 0

@@ -1,7 +1,7 @@
 """Guards on the package's structure: every TSV parse and artifact write
 goes through wikialumni.tsv, the view cache is one SQLite file, the CLI
 imports no heavy dependency, every public name is read in src/, and
-every defaulted parameter is set by some call in src/."""
+every defaulted parameter is set by some call in src/ but not by all."""
 
 import ast
 import subprocess
@@ -84,7 +84,8 @@ def test_view_cache_is_one_database_file(tmp_path):
 
 def test_cli_import_leaves_out_scipy():
     heavy = (
-        "scipy", "numpy", "multiprocessing", "concurrent.futures", "urllib.request", "http.client"
+        "scipy", "numpy", "multiprocessing", "concurrent.futures", "urllib.request", "http.client",
+        "email.utils",
     )
     result = subprocess.run(
         [sys.executable, "-c",
@@ -214,13 +215,12 @@ def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, str, int | None]
     return found
 
 
-def _unset_defaults(trees: list[ast.Module]) -> list[str]:
-    """'function.parameter' for each defaulted parameter that no call
-    sets, by keyword or by position.  Calls match by the callee's name
-    (f(...), obj.f(...), Class(...)), not by type; a call that passes
-    *args or **kwargs sets every parameter."""
-    n_positional: dict[str, int] = {}
-    keywords: set[tuple[str, str | None]] = set()
+def _calls(trees: list[ast.Module]) -> dict[str | None, list[tuple[int, set[str | None]]]]:
+    """Per callee name (f(...), obj.f(...), Class(...)), the number of
+    positional arguments and the keywords of each call; a call that
+    passes *args counts as passing every position, and **kwargs shows
+    as the keyword None."""
+    calls: dict[str | None, list[tuple[int, set[str | None]]]] = {}
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -230,16 +230,33 @@ def _unset_defaults(trees: list[ast.Module]) -> list[str]:
             n = len(node.args)
             if any(isinstance(a, ast.Starred) for a in node.args):
                 n = sys.maxsize
-            n_positional[name] = max(n_positional.get(name, 0), n)
-            keywords.update((name, k.arg) for k in node.keywords)  # arg None: **kwargs
-    unset = []
-    for tree in trees:
-        for qualname, callee, param, pos in _defaulted_params(tree):
-            by_position = pos is not None and n_positional.get(callee, 0) > pos
-            by_keyword = (callee, param) in keywords or (callee, None) in keywords
-            if not by_position and not by_keyword:
-                unset.append(f"{qualname}.{param}")
-    return unset
+            calls.setdefault(name, []).append((n, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaults_set(trees: list[ast.Module]) -> list[tuple[str, list[bool]]]:
+    """('function.parameter', whether each call to it sets the parameter,
+    by position or by keyword) for every defaulted parameter.  Calls
+    match by the callee's name, not by type."""
+    calls = _calls(trees)
+    return [
+        (f"{qualname}.{param}",
+         [(pos is not None and n > pos) or param in keywords or None in keywords
+          for n, keywords in calls.get(callee, [])])
+        for tree in trees
+        for qualname, callee, param, pos in _defaulted_params(tree)
+    ]
+
+
+def _unset_defaults(trees: list[ast.Module]) -> list[str]:
+    """'function.parameter' for each defaulted parameter that no call sets."""
+    return [name for name, sets in _defaults_set(trees) if not any(sets)]
+
+
+def _always_set_defaults(trees: list[ast.Module]) -> list[str]:
+    """'function.parameter' for each defaulted parameter that every call
+    sets, when there is a call at all: its default is dead."""
+    return [name for name, sets in _defaults_set(trees) if sets and all(sets)]
 
 
 def test_unset_default_scan_finds_parameters_no_call_sets():
@@ -259,3 +276,30 @@ def test_every_defaulted_parameter_is_set_in_src():
     unset = _unset_defaults(trees)
     assert [name for name in unset if name not in UNSET_ALLOWED] == []
     assert sorted(set(UNSET_ALLOWED) - set(unset)) == []  # no stale exception
+
+
+# Defaulted parameters that every call in src/ sets, each kept for a reason.
+ALWAYS_SET_ALLOWED = {
+    "split_sentences.containing": "the oracle tests split whole texts without it",
+    "stream_pages.span": "the benchmark's retained_bytes_per_page and the tests stream whole dumps",
+}
+
+
+def test_always_set_default_scan_finds_parameters_every_call_sets():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0):\n        pass\n"
+        "    def m(self, p=1):\n        pass\n"
+        "def g(u=1):\n    pass\n"
+        "def h(z=1):\n    pass\n"
+        "f(0, 5, d=1)\nf(0, 6, **{})\nC(1, y=2)\nC(1, 3).m()\ng(*[])\n"
+    )
+    assert _always_set_defaults([tree]) == ["f.b", "f.d", "C.__init__.y", "g.u"]
+
+
+def test_no_defaulted_parameter_is_set_by_every_call_in_src():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    always_set = _always_set_defaults(trees)
+    assert [name for name in always_set if name not in ALWAYS_SET_ALLOWED] == []
+    assert sorted(set(ALWAYS_SET_ALLOWED) - set(always_set)) == []  # no stale exception
