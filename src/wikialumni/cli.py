@@ -373,7 +373,7 @@ def run_views(config: PipelineConfig, echo=click.echo) -> int:
     if not dataset_path.exists():
         raise ConfigError("no dataset file found; run 'wikialumni extract' first")
     client = build_view_client(config)
-    with closing(client.cache):
+    with closing(client):
         records = alumni.read_dataset(dataset_path)
         enriched = pageviews.enrich_records(records, config.analysis_year, client)
         alumni.write_dataset(enriched, out / ENRICHED_NAME, enriched=True)

@@ -82,22 +82,49 @@ def _filter_from_dict(raw: dict) -> NamedFilter:
     name = raw.get("name")
     if not name:
         raise ConfigError("every filter needs a name")
-    try:
-        spec = FilterSpec(
-            min_birth_year=raw.get("min_birth_year"),
-            max_birth_year=raw.get("max_birth_year"),
-            min_views_exclusive=raw.get("min_views_exclusive"),
-            require_birth_year=bool(raw.get("require_birth_year", False)),
+    bounds = {
+        key: None if raw.get(key) is None else _number(int, f"filter {name!r} {key}", raw[key])
+        for key in ("min_birth_year", "max_birth_year", "min_views_exclusive")
+    }
+    require = raw.get("require_birth_year", False)
+    if not isinstance(require, bool):  # bool("no") would read as true
+        raise ConfigError(
+            f"filter {name!r} require_birth_year must be true or false, got {require!r}"
         )
+    try:
+        spec = FilterSpec(**bounds, require_birth_year=require)
     except ValueError as exc:
         raise ConfigError(f"filter {name!r}: {exc}") from exc
     return NamedFilter(name=name, spec=spec)
 
 
+def _mapping(key: str, value) -> dict:
+    """value if it is a YAML mapping, else a ConfigError that names the key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got a {type(value).__name__}")
+    return value
+
+
+def _entries(raw: dict, key: str, required: tuple[str, ...]) -> list[dict]:
+    """The mappings listed under key (none if it is absent), each with
+    every required key."""
+    items = raw.get(key, [])
+    if not isinstance(items, list):
+        raise ConfigError(f"{key} must be a list, got a {type(items).__name__}")
+    for i, item in enumerate(items):
+        _mapping(f"{key}[{i}]", item)
+        for name in required:
+            if name not in item:
+                raise ConfigError(f"{key} entry missing {name!r}: {item}")
+    return items
+
+
 def _number(kind: type, key: str, value):
-    """kind(value), or a ConfigError that names the key."""
+    """kind(value), or a ConfigError that names the key.  Text is read
+    only as a float, which an environment variable may set."""
     try:
-        if isinstance(value, bool):  # YAML true/false; int(True) would read as 1
+        # YAML true/false (int(True) would read as 1), or quoted text as an integer
+        if isinstance(value, bool) or (kind is int and isinstance(value, str)):
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError  # int(2017.9) would truncate to 2017
@@ -113,7 +140,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     raw_bytes = path.read_bytes()
     try:
-        raw = yaml.safe_load(raw_bytes) or {}
+        raw = _mapping(f"{path}: the top level", yaml.safe_load(raw_bytes) or {})
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
 
@@ -124,10 +151,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         return p if p.is_absolute() else base / p
 
     languages = []
-    for item in raw.get("languages", []):
-        for key in ("code", "dump", "dictionary"):
-            if key not in item:
-                raise ConfigError(f"language entry missing {key!r}: {item}")
+    for item in _entries(raw, "languages", ("code", "dump", "dictionary")):
         languages.append(
             LanguageConfig(
                 code=item["code"],
@@ -143,7 +167,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     if "universities_file" not in raw:
         raise ConfigError("universities_file is required")
 
-    pv = raw.get("pageviews", {})
+    pv = _mapping("pageviews", raw.get("pageviews", {}))
     mode = pv.get("mode", MODE_FIXTURE)
     if mode not in (MODE_LIVE, MODE_FIXTURE):
         raise ConfigError(f"pageviews.mode must be live or fixture, got {mode!r}")
@@ -170,10 +194,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         ExternalRankingConfig(
             name=item["name"], file=_resolve(item["file"]), mapping=_resolve(item["mapping"])
         )
-        for item in raw.get("external_rankings", [])
+        for item in _entries(raw, "external_rankings", ("name", "file", "mapping"))
     )
 
-    audit = raw.get("audit", {})
+    audit = _mapping("audit", raw.get("audit", {}))
     audit_rate = _number(float, "audit.rate", audit.get("rate", 0.05))
     if not 0 < audit_rate <= 1:
         raise ConfigError(f"audit.rate must be in (0, 1], got {audit_rate!r}")
@@ -192,7 +216,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         rate_limit=rate_limit,
         agent=pv.get("agent", "all-agents"),
         correlation_method=method,
-        filters=tuple(_filter_from_dict(f) for f in raw.get("filters", [])),
+        filters=tuple(_filter_from_dict(f) for f in _entries(raw, "filters", ())),
         external_rankings=externals,
         audit_rate=audit_rate,
         audit_seed=_number(int, "audit.seed", audit.get("seed", 0)),

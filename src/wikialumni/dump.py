@@ -147,9 +147,9 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
         if tag == "title":
             title = elem.text or ""
         elif tag == "ns":
-            ns = int(elem.text or 0)
+            ns = _integer(elem.text or "0", "ns", source, last_title)
         elif tag == "id" and not in_revision and page_id < 0:
-            page_id = int(elem.text)
+            page_id = _integer(elem.text or "", "id", source, last_title)
         elif tag == "redirect":
             redirect = elem.attrib.get("title", "")
         elif tag == "text":
@@ -167,6 +167,17 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
                 page_id=page_id,
             )
             root.clear()
+
+
+def _integer(text: str, field: str, source: DumpSource, last_title: str | None) -> int:
+    """int(text), or a DumpParseError that names the field and the value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DumpParseError(
+            f"{source.path}: page <{field}> is not an integer: {text!r}"
+            f" (last complete page: {last_title!r})"
+        ) from None
 
 
 def shard_spans(path: str, n: int) -> list[Span]:

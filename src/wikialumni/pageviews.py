@@ -6,10 +6,10 @@ fixture backend reading local tab-separated files.  All lookups go
 through one SQLite cache keyed by backend, agent, kind, lang, title and
 year; with a warm cache a re-run issues zero backend requests.
 
-A lookup outside a batch is committed at once.  Inside enrich_records
-and university_views the fetched lookups are committed every
-WRITE_BATCH (50) fetches and at the end, so a SIGKILLed views run loses
-at most the last 49 fetched lookups, which the next run fetches again.
+Fetched lookups are committed WRITE_BATCH (50) at a time, in one short
+transaction each, and the rest when the client is closed, which the
+views stage does also when it fails.  So a SIGKILLed run loses at most
+the last 49 fetched lookups, which the next run fetches again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sqlite3
 import time
 import urllib.parse
 import weakref
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -42,7 +41,7 @@ RETRIES = 3  # attempts per live request
 BACKOFF_BASE_S = 1.0  # sleep before retry n (from 0) is BACKOFF_BASE_S * 2**n
 RETRY_AFTER_CAP_S = 60.0  # longest wait a 429's Retry-After header can ask for
 
-WRITE_BATCH = 50  # fetched lookups per cache transaction inside ViewClient.batch()
+WRITE_BATCH = 50  # fetched lookups per cache transaction
 
 
 class Backend(Protocol):
@@ -219,11 +218,9 @@ class ViewCache:
     """Lookup results in one SQLite table, cache_dir/pageviews.sqlite (WAL).
     Each put writes its rows in one short transaction: another ViewCache
     on the same directory sees them at once, and a killed run keeps every
-    put it finished.  A lookup outside a batch is committed at once;
-    inside enrich_records and university_views, lookups are committed
-    every WRITE_BATCH (50) fetches and at the end, so a SIGKILLed views
-    run loses at most the last 49 fetched lookups, which the next run
-    fetches again."""
+    put it finished.  ViewClient puts its fetched lookups WRITE_BATCH (50)
+    at a time and the rest when it is closed, which the views stage does
+    also when it fails, so a SIGKILLed run loses at most the last 49."""
 
     def __init__(self, cache_dir: str | Path):
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
@@ -268,55 +265,46 @@ class ViewCache:
 class ViewClient:
     """Backend + cache front door used by the pipeline.
 
-    A lookup outside a batch() scope is committed at once.  Inside one,
-    as in enrich_records and university_views, fetched values wait in a
-    pending map, which every lookup checks before the database, and are
-    committed every WRITE_BATCH (50) fetches and when the scope exits,
-    normally or by an exception.  So a SIGKILLed views run loses at most
-    the last 49 fetched lookups, which the next run fetches again.  No
-    transaction stays open across a backend call, which for the live API
-    can take seconds while another process shares cache_dir.
+    Fetched values wait in a pending map, which every lookup checks
+    first, and are committed WRITE_BATCH (50) at a time in one short
+    transaction each; close() commits the rest, and the views stage
+    closes its client also when it fails.  So a SIGKILLed run loses at
+    most the last 49 fetched lookups.  No transaction stays open across a
+    backend call, which for the live API can take seconds while another
+    process shares cache_dir.
     """
 
     def __init__(self, backend: Backend, cache: ViewCache):
         self.backend = backend
         self.cache = cache
-        self._pending: dict[tuple[str, str, str, str, int], str] | None = None  # None: no batch
+        self._pending: dict[tuple[str, str, str, str, int], str] = {}
 
-    @contextmanager
-    def batch(self):
-        """Commit the lookups fetched in this scope WRITE_BATCH at a time."""
-        self._pending = pending = {}
+    def _flush(self) -> None:
+        if self._pending:
+            self.cache.put([(*key, text) for key, text in self._pending.items()])
+            self._pending.clear()
+
+    def close(self) -> None:
+        """Commit the pending lookups, then close the cache."""
         try:
-            yield
+            self._flush()
         finally:
-            self._pending = None
-            self._write(pending)
-
-    def _write(self, pending: dict) -> None:
-        if pending:
-            self.cache.put([(*key, text) for key, text in pending.items()])
-            pending.clear()
+            self.cache.close()
 
     def _lookup(self, kind: str, lang: str, title: str, year: int, call):
         """The value cached for this backend if any, else call()'s, cached
         as JSON text so a cached None is a hit too.  Language links use
         year 0, since a NULL key column never matches."""
         key = (f"{self.backend.source}:{self.backend.agent}", kind, lang, title, year)
-        pending = self._pending
-        hit = pending.get(key) if pending else None
+        hit = self._pending.get(key)
         if hit is None:
             hit = self.cache.get(key)
         if hit is not None:
             return json.loads(hit)
         value = call()
-        text = json.dumps(value)
-        if pending is None:
-            self.cache.put([(*key, text)])
-        else:
-            pending[key] = text
-            if len(pending) >= WRITE_BATCH:
-                self._write(pending)
+        self._pending[key] = json.dumps(value)
+        if len(self._pending) >= WRITE_BATCH:
+            self._flush()
         return value
 
     def fetch_views(self, title: str, lang: str, year: int) -> int:
@@ -344,18 +332,17 @@ def enrich_records(
     views_total left empty; the pipeline continues.
     """
     out = []
-    with client.batch():
-        for rec in records:
-            try:
-                title_en = rec.person_link_en
-                if rec.lang != "en" and title_en is None:
-                    title_en = client.resolve_english(rec.person_link, rec.lang)
-                total = client.fetch_views(rec.person_link, rec.lang, year)
-                if rec.lang != "en" and title_en and title_en != rec.person_link:
-                    total += client.fetch_views(title_en, "en", year)
-                out.append(replace(rec, person_link_en=title_en, views_total=total))
-            except FetchError:
-                out.append(replace(rec, unresolved=True, views_total=None))
+    for rec in records:
+        try:
+            title_en = rec.person_link_en
+            if rec.lang != "en" and title_en is None:
+                title_en = client.resolve_english(rec.person_link, rec.lang)
+            total = client.fetch_views(rec.person_link, rec.lang, year)
+            if rec.lang != "en" and title_en and title_en != rec.person_link:
+                total += client.fetch_views(title_en, "en", year)
+            out.append(replace(rec, person_link_en=title_en, views_total=total))
+        except FetchError:
+            out.append(replace(rec, unresolved=True, views_total=None))
     return out
 
 
@@ -365,10 +352,9 @@ def university_views(
     """Per university, the view sum over its canonical title in each
     language (aliases excluded)."""
     totals: dict[int, int] = {}
-    with client.batch():
-        for uid, uni in sorted(registry.universities.items()):
-            total = 0
-            for lang, title in sorted(uni.canonical_titles.items()):
-                total += client.fetch_views(title, lang, year)
-            totals[uid] = total
+    for uid, uni in sorted(registry.universities.items()):
+        total = 0
+        for lang, title in sorted(uni.canonical_titles.items()):
+            total += client.fetch_views(title, lang, year)
+        totals[uid] = total
     return totals

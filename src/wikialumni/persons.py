@@ -59,11 +59,10 @@ def _escape(text: str) -> str:
 
 
 def persist_person(person: PersonPage, out_dir: str | Path) -> Path:
-    """Write the page element to page_<id>_<year>.xml; idempotent.
-    Ingest persists no redirect page, so there is no <redirect> element."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / person_filename(person.page.page_id, person.birth_year)
+    """Write the page element to page_<id>_<year>.xml in out_dir, which
+    must exist; idempotent.  Ingest persists no redirect page, so there
+    is no <redirect> element."""
+    path = Path(out_dir) / person_filename(person.page.page_id, person.birth_year)
     page = person.page
     body = (
         "<page>\n"

@@ -209,10 +209,12 @@ def test_criterion_7_hermetic_fixture_and_warm_cache(tmp_path, monkeypatch):
     client = ViewClient(live, cache)
     assert client.fetch_views("Some Page", "en", 2017) == 3
     assert warm_session.calls == 1
+    client.close()
 
     cold_session = CountingSession()
     rerun = ViewClient(
-        LiveBackend(rate_limiter=RateLimiter(0), agent="all-agents", session=cold_session), cache
+        LiveBackend(rate_limiter=RateLimiter(0), agent="all-agents", session=cold_session),
+        ViewCache(tmp_path / "live_cache"),
     )
     assert rerun.fetch_views("Some Page", "en", 2017) == 3
     assert cold_session.calls == 0

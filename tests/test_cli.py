@@ -431,6 +431,26 @@ def test_ingest_isolates_per_language_failure(project):
     assert manifest["languages"]["ru"]["status"] == "error"
 
 
+@pytest.mark.parametrize(
+    "field, value", [("id", "x1"), ("id", ""), ("ns", "main")], ids=["id-word", "id-empty", "ns-word"]
+)
+def test_bad_page_number_fails_only_its_language(project, capfd, field, value):
+    dump = project.parent / "ru.xml"
+    text, n = re.subn(
+        rf"<{field}>\d+</{field}>", f"<{field}>{value}</{field}>", dump.read_text(encoding="utf-8"),
+        count=1,
+    )
+    assert n == 1
+    dump.write_text(text, encoding="utf-8")
+    config = load_config(project)
+    assert run_ingest(config, echo=quiet) == 1
+    manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
+    assert manifest["languages"]["en"]["status"] == "ok"
+    assert manifest["languages"]["ru"]["status"] == "error"
+    assert f"<{field}> is not an integer: {value!r}" in manifest["languages"]["ru"]["error"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_changed_dump_date_reingests(project):
     page = dict(title="Zoe Later", page_id=50,
                 text="Zoe Later (2019 award winner) was born in 1971. She graduated.")

@@ -97,6 +97,36 @@ def test_non_numeric_value_is_config_error(project, old, new, key):
     assert line.startswith("config error: ") and key in line
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        (None, "- en\n- ru\n", "top level"),  # None: new is the whole file
+        ("pageviews:\n  mode: fixture\n  fixture_views: views.tsv\n  fixture_langlinks: langlinks.tsv\n",
+         "pageviews: fixture\n", "pageviews"),
+        ("audit:\n  rate: 1.0\n  seed: 7\n", "audit: 5\n", "audit"),
+        ("  - name: full\n", "  - full\n", "filters[0]"),
+        ("  - name: QS-like\n    file:", "  - file:", "external_rankings entry missing 'name'"),
+        ("    mapping: external_map.tsv\n", "", "external_rankings entry missing 'mapping'"),
+        ("min_views_exclusive: 999", 'min_views_exclusive: "999"', "min_views_exclusive"),
+        ("min_birth_year: 1948", 'min_birth_year: "1948"', "min_birth_year"),
+        ("min_birth_year: 1948", "min_birth_year: 1948.5", "min_birth_year"),
+        ("min_birth_year: 1948", 'min_birth_year: 1948\n    require_birth_year: "no"',
+         "require_birth_year"),
+    ],
+    ids=["top-level-list", "pageviews-scalar", "audit-scalar", "filter-scalar",
+         "ranking-without-name", "ranking-without-mapping", "quoted-min-views",
+         "quoted-min-year", "fractional-min-year", "quoted-require-year"],
+)
+def test_misshapen_config_is_config_error(project, old, new, key):
+    text = project.read_text()
+    assert old is None or text.count(old) == 1
+    project.write_text(new if old is None else text.replace(old, new))
+    result = CliRunner().invoke(main, ["audit", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and key in line
+
+
 @pytest.mark.parametrize("rate", ["5", "0", "-0.5"])
 def test_audit_rate_out_of_range_is_config_error(project, rate):
     rewrite(project, "rate: 1.0", f"rate: {rate}")

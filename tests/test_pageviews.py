@@ -2,11 +2,12 @@ import email.utils
 import gc
 import os
 import time
+from contextlib import closing
 
 import pytest
 
 from wikialumni import cli
-from wikialumni.alumni import AlumniRecord
+from wikialumni.alumni import AlumniRecord, write_dataset
 from wikialumni.config import load_config
 from wikialumni.errors import FetchError, WikiAlumniError
 from wikialumni.pageviews import (
@@ -73,7 +74,8 @@ def test_cache_serves_repeat_requests(table_fixture_client):
 def test_warm_cache_issues_zero_requests(tmp_path):
     views_path = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
     cache_dir = tmp_path / "cache"
-    ViewClient(FixtureBackend(views_path, None), ViewCache(cache_dir)).fetch_views("A", "en", 2017)
+    with closing(ViewClient(FixtureBackend(views_path, None), ViewCache(cache_dir))) as first:
+        first.fetch_views("A", "en", 2017)
     fresh_backend = FixtureBackend(views_path, None)
     client = ViewClient(fresh_backend, ViewCache(cache_dir))
     assert client.fetch_views("A", "en", 2017) == 5
@@ -272,7 +274,8 @@ def views_payload(n):
 
 def test_fixture_filled_cache_is_not_served_to_a_live_run(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
-    ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    with closing(ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))) as first:
+        first.fetch_views("A", "en", 2017)
     backend = live_backend([FakeResponse(200, views_payload(7))])
     assert ViewClient(backend, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 7
     assert backend.request_count == 1
@@ -280,7 +283,8 @@ def test_fixture_filled_cache_is_not_served_to_a_live_run(tmp_path):
 
 def test_live_agents_do_not_share_cache_entries(tmp_path):
     users = live_backend([FakeResponse(200, views_payload(3))], agent="user")
-    ViewClient(users, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017)
+    with closing(ViewClient(users, ViewCache(tmp_path / "cache"))) as first:
+        first.fetch_views("A", "en", 2017)
     every = live_backend([FakeResponse(200, views_payload(8))])
     assert ViewClient(every, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 8
     assert every.request_count == 1
@@ -479,7 +483,7 @@ def test_batch_asks_the_backend_once_per_distinct_lookup(tmp_path):
     backend = CountingBackend()
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
     every = titles(120)
-    with client.batch():
+    with closing(client):
         # 60 fetched: 50 written, 10 pending; repeat them all, then the rest, then all again
         for order in (every[:60], every[:60], every[60:], every, every[::-1]):
             for title in order:
@@ -492,7 +496,7 @@ def test_batch_commits_every_write_batch_fetches(tmp_path):
     client = ViewClient(CountingBackend(), ViewCache(tmp_path / "cache"))
     other = ViewCache(tmp_path / "cache")
     every = titles(WRITE_BATCH + 10)
-    with client.batch():
+    with closing(client):
         for title in every[: WRITE_BATCH - 1]:
             client.fetch_views(title, "en", 2017)
         assert [cached(other, t) for t in every[: WRITE_BATCH - 1]] == [None] * (WRITE_BATCH - 1)
@@ -509,7 +513,8 @@ def test_batch_that_raises_keeps_what_it_fetched(tmp_path):
     records = [rec(title) for title in titles(100)]
     failing = CountingBackend(fail_at={70: RuntimeError("backend crashed")})
     with pytest.raises(RuntimeError, match="backend crashed"):
-        enrich_records(records, 2017, ViewClient(failing, ViewCache(tmp_path / "cache")))
+        with closing(ViewClient(failing, ViewCache(tmp_path / "cache"))) as client:
+            enrich_records(records, 2017, client)
     check = ViewCache(tmp_path / "cache")
     assert [cached(check, t) is not None for t in titles(100)] == [True] * 69 + [False] * 31
     rerun = CountingBackend()
@@ -521,13 +526,51 @@ def test_batch_that_raises_keeps_what_it_fetched(tmp_path):
 def test_fetch_error_is_never_cached_in_a_batch(tmp_path):
     records = [rec(title) for title in titles(3)]
     down = CountingBackend(fetch_errors={"Page 001"})
-    out = enrich_records(records, 2017, ViewClient(down, ViewCache(tmp_path / "cache")))
+    with closing(ViewClient(down, ViewCache(tmp_path / "cache"))) as client:
+        out = enrich_records(records, 2017, client)
     assert [r.unresolved for r in out] == [False, True, False]
     assert cached(ViewCache(tmp_path / "cache"), "Page 001") is None
     rerun = CountingBackend()
     out = enrich_records(records, 2017, ViewClient(rerun, ViewCache(tmp_path / "cache")))
     assert rerun.asked == ["Page 001"]
     assert not any(r.unresolved for r in out)
+
+
+def test_closed_client_has_committed_every_fetch(tmp_path):
+    client = ViewClient(CountingBackend(), ViewCache(tmp_path / "cache"))
+    for title in titles(10):
+        client.fetch_views(title, "en", 2017)
+    client.close()
+    other = ViewCache(tmp_path / "cache")
+    assert [cached(other, t) for t in titles(10)] == [f"[{len(t)}, false]" for t in titles(10)]
+    other.close()
+
+
+def test_dropped_client_loses_at_most_its_last_partial_batch(tmp_path):
+    client = ViewClient(CountingBackend(), ViewCache(tmp_path / "cache"))
+    for title in titles(WRITE_BATCH + 10):
+        client.fetch_views(title, "en", 2017)
+    del client
+    gc.collect()
+    other = ViewCache(tmp_path / "cache")
+    committed = [cached(other, t) is not None for t in titles(WRITE_BATCH + 10)]
+    assert committed == [True] * WRITE_BATCH + [False] * 10
+    other.close()
+
+
+def test_views_stage_that_raises_commits_what_it_fetched(tmp_path, monkeypatch):
+    config = load_config(build_mini_project(tmp_path / "proj"))
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    write_dataset([rec(t) for t in titles(100)], config.output_dir / cli.DATASET_NAME)
+    failing = CountingBackend(fail_at={70: RuntimeError("backend crashed")})
+    monkeypatch.setattr(
+        cli, "build_view_client", lambda cfg: ViewClient(failing, ViewCache(cfg.cache_dir))
+    )
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        cli.run_views(config, echo=lambda *a, **k: None)
+    check = ViewCache(config.cache_dir)
+    assert [cached(check, t) is not None for t in titles(100)] == [True] * 69 + [False] * 31
+    check.close()
 
 
 def test_warm_views_run_makes_no_backend_requests(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """Guards on the package's structure: every TSV parse and artifact write
-goes through wikialumni.tsv, the view cache is one SQLite file, the CLI
-imports no heavy dependency, every public name is read in src/, and
-every defaulted parameter is set by some call in src/ but not by all."""
+goes through wikialumni.tsv, the view cache is one SQLite file written
+from one place, the CLI imports no heavy dependency, every public name
+is read in src/, and every defaulted parameter is set by some call in
+src/ but not by all."""
 
 import ast
 import subprocess
@@ -36,9 +37,9 @@ def _is_artifact_io(call: ast.Call) -> bool:
     )
 
 
-def _artifact_io_sites(tree: ast.AST) -> list[str]:
-    """Qualified name of the function around each write_text(...) or
-    split("\\t") call ('' at module level)."""
+def _call_sites(tree: ast.AST, wanted) -> list[str]:
+    """Qualified name of the function around each call that wanted(call)
+    accepts ('' at module level)."""
     sites = []
 
     def visit(node, scope):
@@ -46,12 +47,17 @@ def _artifact_io_sites(tree: ast.AST) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and _is_artifact_io(child):
+            if isinstance(child, ast.Call) and wanted(child):
                 sites.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, [])
     return sites
+
+
+def _artifact_io_sites(tree: ast.AST) -> list[str]:
+    """The sites of each write_text(...) or split("\\t") call."""
+    return _call_sites(tree, _is_artifact_io)
 
 
 def test_scan_finds_direct_writes_and_splits():
@@ -80,6 +86,31 @@ def test_view_cache_is_one_database_file(tmp_path):
     for stage in (run_ingest, run_extract, run_views):
         assert stage(config, echo=lambda *a, **k: None) == 0
     assert sorted(p.name for p in config.cache_dir.iterdir()) == ["pageviews.sqlite"]
+
+
+def _cache_put_sites(tree: ast.AST) -> list[str]:
+    """The sites of each x.put(...) call, which is how ViewCache.put is
+    called."""
+    return _call_sites(
+        tree, lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "put"
+    )
+
+
+def test_scan_finds_cache_puts():
+    tree = ast.parse(
+        "class C:\n    def m(self, rows):\n        self.cache.put(rows)\n"
+        "def f(cache, put):\n    put([])\n    cache.get(1)\n    return cache.put([])\n"
+    )
+    assert _cache_put_sites(tree) == ["C.m", "f"]
+
+
+def test_view_cache_is_written_from_one_place():
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _cache_put_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(sites) == 1 and sites[0].startswith("pageviews.ViewClient."), sites
 
 
 def test_cli_import_leaves_out_scipy():
