@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bz2
 import gzip
-import io
 import os
 import xml.etree.ElementTree as etree
 from dataclasses import dataclass
@@ -107,13 +106,6 @@ def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
 
 def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
     last_title: str | None = None
-    title = ""
-    page_id = -1
-    ns = 0
-    redirect: str | None = None
-    text = ""
-    in_revision = False
-
     root = None  # the <mediawiki> element; every finished page is cleared out of it
     parser = etree.iterparse(stream, events=("start", "end"))
     while True:
@@ -122,51 +114,57 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
         except StopIteration:
             return
         except etree.ParseError as exc:
-            offset = _byte_offset(stream, exc)
             if "no element found" in str(exc) or "unclosed token" in str(exc):
                 raise DumpTruncatedError(
-                    f"{source.path}: dump truncated at byte {offset}"
+                    f"{source.path}: dump truncated at byte {stream.tell()}"
                     f" (last complete page: {last_title!r})"
                 ) from exc
             raise DumpParseError(
-                f"{source.path}: malformed XML at byte {offset}: {exc}"
+                f"{source.path}: malformed XML at byte {stream.tell()}: {exc}"
                 f" (last complete page: {last_title!r})"
             ) from exc
 
-        tag = _localname(elem.tag)
-        if event == "start":
-            if root is None:
-                root = elem
-            if tag == "page":
-                title, page_id, ns, redirect, text = "", -1, 0, None, ""
-                in_revision = False
-            elif tag == "revision":
-                in_revision = True
-            continue
-
-        if tag == "title":
-            title = elem.text or ""
-        elif tag == "ns":
-            ns = _integer(elem.text or "0", "ns", source, last_title)
-        elif tag == "id" and not in_revision and page_id < 0:
-            page_id = _integer(elem.text or "", "id", source, last_title)
-        elif tag == "redirect":
-            redirect = elem.attrib.get("title", "")
-        elif tag == "text":
-            text = elem.text or ""
-        elif tag == "revision":
-            in_revision = False
-        elif tag == "page":
-            last_title = title
-            yield WikiPage(
-                title=title,
-                lang=source.lang,
-                namespace=ns,
-                redirect_target=redirect,
-                wikitext=text,
-                page_id=page_id,
-            )
+        if root is None:
+            root = elem
+        elif event == "end" and _localname(elem.tag) == "page":
+            page = _read_page(elem, source, last_title)
+            last_title = page.title
+            yield page
             root.clear()
+
+
+def parse_page(text: str, source: DumpSource) -> WikiPage:
+    """Decode one ``<page>`` document, such as a person file, as a dump
+    page of source."""
+    try:
+        elem = etree.fromstring(text)
+    except etree.ParseError as exc:
+        raise DumpParseError(f"{source.path}: malformed XML: {exc}") from exc
+    return _read_page(elem, source, None)
+
+
+def _read_page(elem: etree.Element, source: DumpSource, last_title: str | None) -> WikiPage:
+    """The page's own <title>, <ns>, first <id> and <redirect title>, and
+    the <text> of its last <revision>, each matched by local name; a
+    missing <ns> is 0, a missing <id> is -1."""
+    children: dict[str, etree.Element] = {}
+    for child in elem:
+        tag = _localname(child.tag)
+        if tag == "revision" or tag not in children:
+            children[tag] = child
+    fields = {tag: child.text or "" for tag, child in children.items()}
+    for child in children.get("revision", ()):
+        if _localname(child.tag) == "text":
+            fields["text"] = child.text or ""
+    redirect = children.get("redirect")
+    return WikiPage(
+        title=fields.get("title", ""),
+        lang=source.lang,
+        namespace=_integer(fields.get("ns") or "0", "ns", source, last_title),
+        redirect_target=None if redirect is None else redirect.get("title", ""),
+        wikitext=fields.get("text", ""),
+        page_id=_integer(fields.get("id", "-1"), "id", source, last_title),
+    )
 
 
 def _integer(text: str, field: str, source: DumpSource, last_title: str | None) -> int:
@@ -274,13 +272,6 @@ def _end_tag(prefix: bytes, path: str) -> bytes:
     except etree.ParseError as exc:
         raise DumpParseError(f"{path}: malformed XML before the first <page>: {exc}") from exc
     raise DumpParseError(f"{path}: no root element before the first <page>")
-
-
-def _byte_offset(stream: IO[bytes], exc: etree.ParseError) -> int | str:
-    try:
-        return stream.tell()
-    except (OSError, io.UnsupportedOperation):
-        return f"line {exc.position[0]}"
 
 
 def collect_redirects(

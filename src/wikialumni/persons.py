@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dump import WikiPage
+from .dump import DumpSource, WikiPage, parse_page
 from .registry import MarkerDictionary
 
 BIRTH_YEAR_MIN = 800
@@ -80,18 +80,8 @@ def persist_person(person: PersonPage, out_dir: str | Path) -> Path:
 
 def load_person_file(path: str | Path, lang: str) -> PersonPage:
     """Read back a file written by persist_person."""
-    import xml.etree.ElementTree as etree
-
     path = Path(path)
-    root = etree.fromstring(path.read_text(encoding="utf-8"))
-    page = WikiPage(
-        title=root.findtext("title", ""),
-        lang=lang,
-        namespace=int(root.findtext("ns", "0")),
-        redirect_target=None,
-        wikitext=root.findtext("revision/text", "") or "",
-        page_id=int(root.findtext("id", "-1")),
-    )
+    page = parse_page(path.read_text(encoding="utf-8"), DumpSource(path=str(path), lang=lang))
     stem_year = path.stem.rsplit("_", 1)[1]
     birth_year = int(stem_year) if stem_year else None
     return PersonPage(page=page, birth_year=birth_year)
