@@ -60,13 +60,14 @@ def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> l
     link targets in order of appearance.  A ']]' with no open link is
     plain text.
 
-    With ``containing``, return only the sentences that hold one of those
-    character offsets; the walk stops after the sentence of the last."""
-    hits = None
-    if containing is not None:
-        hits = sorted(h for h in set(containing) if 0 <= h < len(wikitext))
-        if not hits:
-            return []
+    Return only the sentences that hold one of the character offsets in
+    ``containing`` (None: every offset); the walk stops after the
+    sentence of the last."""
+    if containing is None:
+        containing = range(len(wikitext))
+    hits = sorted(h for h in set(containing) if 0 <= h < len(wikitext))
+    if not hits:
+        return []
     spans: list[tuple[int, int]] = []
     i = 0  # next offset in hits; every earlier one lies before ``start``
     depth = 0
@@ -77,9 +78,7 @@ def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> l
             if depth:
                 continue
             end = token.end()
-            if hits is None:
-                spans.append((start, end))
-            elif hits[i] < end:
+            if hits[i] < end:
                 spans.append((start, end))
                 while i < len(hits) and hits[i] < end:
                     i += 1

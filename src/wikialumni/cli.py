@@ -381,14 +381,19 @@ def run_views(config: PipelineConfig, echo=click.echo) -> int:
         registry = load_registry(config.universities_file)  # canonical titles only
         totals = pageviews.university_views(registry, config.analysis_year, client)
         rows = [
-            (str(uid), registry.name_of(uid), str(config.analysis_year), str(totals[uid]))
+            (str(uid), registry.name_of(uid), str(config.analysis_year),
+             "" if totals[uid] is None else str(totals[uid]))
             for uid in sorted(totals)
         ]
         write_tsv(out / UNIVERSITY_VIEWS_NAME, UNIVERSITY_VIEWS_COLUMNS, rows)
 
         n_unresolved = sum(1 for rec in enriched if rec.unresolved)
-        echo(f"views: {len(enriched)} records enriched, {n_unresolved} unresolved")
-    return 1 if n_unresolved else 0
+        n_failed = sum(1 for total in totals.values() if total is None)
+        echo(
+            f"views: {len(enriched)} records enriched, {n_unresolved} unresolved"
+            + (f", {n_failed} university pages unresolved" if n_failed else "")
+        )
+    return 1 if n_unresolved or n_failed else 0
 
 
 def run_report(config: PipelineConfig, echo=click.echo) -> int:
@@ -460,9 +465,12 @@ def _write_ranking(ranking, registry, path: Path, provenance: list[str]) -> None
 
 
 def _write_alumni_vs_university(records, uni_views_path, registry, reports, provenance):
-    totals = dict(read_tsv(
-        uni_views_path, headers=[UNIVERSITY_VIEWS_COLUMNS], parse=lambda f: (int(f[0]), int(f[3]))
-    )[1])
+    rows = read_tsv(
+        uni_views_path, headers=[UNIVERSITY_VIEWS_COLUMNS],
+        parse=lambda f: (int(f[0]), int(f[3]) if f[3] else None),
+    )[1]
+    # an empty views cell is a university whose lookup failed: left out
+    totals = {uid: views for uid, views in rows if views is not None}
     names = {uid: registry.name_of(uid) for uid in totals}
     uni_ranking = analytics.ranking_from_scores(
         {u: float(v) for u, v in totals.items()},

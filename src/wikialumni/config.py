@@ -78,10 +78,10 @@ def dump_year(lang: LanguageConfig) -> int | None:
     return int(lang.dump_date[:4])
 
 
-def _filter_from_dict(raw: dict) -> NamedFilter:
-    name = raw.get("name")
-    if not name:
+def _filter_from_dict(raw: dict, index: int) -> NamedFilter:
+    if raw.get("name") is None:
         raise ConfigError("every filter needs a name")
+    name = _name(f"filters[{index}].name", raw["name"])
     bounds = {
         key: None if raw.get(key) is None else _number(int, f"filter {name!r} {key}", raw[key])
         for key in ("min_birth_year", "max_birth_year", "min_views_exclusive")
@@ -96,6 +96,15 @@ def _filter_from_dict(raw: dict) -> NamedFilter:
     except ValueError as exc:
         raise ConfigError(f"filter {name!r}: {exc}") from exc
     return NamedFilter(name=name, spec=spec)
+
+
+def _name(key: str, value) -> str:
+    """value if it can name a report file and fill a TSV cell: YAML text
+    with no '/', tab or line break, else a ConfigError that names the key."""
+    text = value if isinstance(value, str) else ""
+    if text.splitlines() != [text] or "/" in text or "\t" in text:
+        raise ConfigError(f"{key} must be text with no '/', tab or line break, got {value!r}")
+    return value
 
 
 def _mapping(key: str, value) -> dict:
@@ -192,10 +201,22 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     externals = tuple(
         ExternalRankingConfig(
-            name=item["name"], file=_resolve(item["file"]), mapping=_resolve(item["mapping"])
+            name=_name(f"external_rankings[{i}].name", item["name"]),
+            file=_resolve(item["file"]),
+            mapping=_resolve(item["mapping"]),
         )
-        for item in _entries(raw, "external_rankings", ("name", "file", "mapping"))
+        for i, item in enumerate(_entries(raw, "external_rankings", ("name", "file", "mapping")))
     )
+
+    filters = tuple(
+        _filter_from_dict(item, i) for i, item in enumerate(_entries(raw, "filters", ()))
+    )
+    first: dict[str, int] = {}
+    for i, nf in enumerate(filters):  # each filter writes reports/ranking_<name>.tsv
+        if first.setdefault(nf.name, i) != i:
+            raise ConfigError(
+                f"filters[{i}].name {nf.name!r} is already the name of filters[{first[nf.name]}]"
+            )
 
     audit = _mapping("audit", raw.get("audit", {}))
     audit_rate = _number(float, "audit.rate", audit.get("rate", 0.05))
@@ -216,7 +237,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         rate_limit=rate_limit,
         agent=pv.get("agent", "all-agents"),
         correlation_method=method,
-        filters=tuple(_filter_from_dict(f) for f in _entries(raw, "filters", ())),
+        filters=filters,
         external_rankings=externals,
         audit_rate=audit_rate,
         audit_seed=_number(int, "audit.seed", audit.get("seed", 0)),

@@ -7,6 +7,10 @@ in shards, byte ranges that each start at a ``<page>`` tag
 process, at most one per CPU in the affinity mask, and the bound holds
 per shard worker.  Plain XML, gzip and bz2 inputs are auto-detected
 from magic bytes; a compressed dump is always read whole.
+
+One decoder reads a finished ``<page>`` element, both for dumps and for
+the per-person files that ingest writes (``parse_page``), so they share
+one set of field rules and one set of errors.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import bz2
 import gzip
 import os
 import xml.etree.ElementTree as etree
+import zlib
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -87,8 +92,9 @@ def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
     """Yield every page of the dump exactly once, in dump order.
 
     Raises DumpParseError on malformed XML (with byte offset and the last
-    page title parsed) and DumpTruncatedError when the stream ends inside
-    the document; pages parsed before the failure are yielded first.
+    page title parsed) or corrupt gzip or bz2 data, and
+    DumpTruncatedError when the XML or the compressed stream ends early;
+    pages parsed before the failure are yielded first.
 
     With a span (start, end) from ``shard_spans`` other than WHOLE, only
     the pages in bytes [start, end) of a plain-XML dump are yielded (end
@@ -121,6 +127,17 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
                 ) from exc
             raise DumpParseError(
                 f"{source.path}: malformed XML at byte {stream.tell()}: {exc}"
+                f" (last complete page: {last_title!r})"
+            ) from exc
+        # a gzip or bz2 stream that is cut short or damaged
+        except EOFError as exc:
+            raise DumpTruncatedError(
+                f"{source.path}: compressed dump truncated: {exc}"
+                f" (last complete page: {last_title!r})"
+            ) from exc
+        except (OSError, zlib.error) as exc:
+            raise DumpParseError(
+                f"{source.path}: corrupt compressed dump: {exc}"
                 f" (last complete page: {last_title!r})"
             ) from exc
 

@@ -348,13 +348,17 @@ def enrich_records(
 
 def university_views(
     registry: Registry, year: int, client: ViewClient
-) -> dict[int, int]:
+) -> dict[int, int | None]:
     """Per university, the view sum over its canonical title in each
-    language (aliases excluded)."""
-    totals: dict[int, int] = {}
+    language (aliases excluded); None for a university with a failed
+    lookup, and the pipeline continues."""
+    totals: dict[int, int | None] = {}
     for uid, uni in sorted(registry.universities.items()):
-        total = 0
-        for lang, title in sorted(uni.canonical_titles.items()):
-            total += client.fetch_views(title, lang, year)
-        totals[uid] = total
+        try:
+            totals[uid] = sum(
+                client.fetch_views(title, lang, year)
+                for lang, title in sorted(uni.canonical_titles.items())
+            )
+        except FetchError:
+            totals[uid] = None
     return totals

@@ -1,4 +1,6 @@
+import bz2
 import fcntl
+import gzip
 import json
 import os
 import re
@@ -10,7 +12,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from wikialumni import alumni, cli
+from wikialumni import alumni, cli, pageviews
 from wikialumni.cli import (
     DATASET_NAME,
     ENRICHED_NAME,
@@ -25,7 +27,7 @@ from wikialumni.cli import (
 )
 from wikialumni.config import load_config
 from wikialumni.dump import shard_spans
-from wikialumni.errors import ConfigError, RegistryError
+from wikialumni.errors import ConfigError, FetchError, RegistryError
 
 from conftest import child_env, make_dump_xml, page_xml
 from mini_corpus import (
@@ -121,6 +123,21 @@ def test_extract_skips_corrupted_person_file(config):
     assert len(records) == len(EXPECTED_DATASET)
 
 
+def test_person_file_with_a_bad_id_is_skipped(config):
+    run_ingest(config, echo=quiet)
+    person = config.output_dir / "persons" / "en" / "page_10_1950.xml"
+    text = person.read_text(encoding="utf-8")
+    assert text.count("<id>10</id>") == 1
+    person.write_text(text.replace("<id>10</id>", "<id>x</id>"), encoding="utf-8")
+    messages = []
+    assert run_extract(config, echo=lambda *a, **k: messages.append(a[0])) == 1
+    (line,) = [m for m in messages if person.name in m]
+    assert line.startswith("extract: skipping") and "<id> is not an integer: 'x'" in line
+    records = alumni.read_dataset(config.output_dir / DATASET_NAME)
+    assert "Alice Sample" not in {r.person_link for r in records}
+    assert len(records) == len(EXPECTED_DATASET) - 1
+
+
 def test_views_enrichment(config):
     run_ingest(config, echo=quiet)
     run_extract(config, echo=quiet)
@@ -162,6 +179,33 @@ def test_report_outputs(config):
     # same order both ways on 3 universities -> spearman 1.00
     assert "spearman\t1.00" in avu
     assert "pearson_on_scores" in avu
+
+
+def test_failed_university_lookup_leaves_an_empty_views_cell(config, monkeypatch):
+    assert run_ingest(config, echo=quiet) == 0
+    assert run_extract(config, echo=quiet) == 0
+    get_views = pageviews.FixtureBackend.get_views
+
+    def failing(self, title, lang, year):
+        if title == "Harvard University":
+            raise FetchError(f"{title} is down")
+        return get_views(self, title, lang, year)
+
+    monkeypatch.setattr(pageviews.FixtureBackend, "get_views", failing)
+    messages = []
+    assert run_views(config, echo=lambda *a, **k: messages.append(a[0])) == 1
+    assert messages == ["views: 5 records enriched, 0 unresolved, 1 university pages unresolved"]
+    records = alumni.read_dataset(config.output_dir / ENRICHED_NAME)
+    assert {r.person_link: r.views_total for r in records} == EXPECTED_VIEWS
+    uni_lines = (config.output_dir / UNIVERSITY_VIEWS_NAME).read_text().splitlines()[1:]
+    cells = {int(l.split("\t")[0]): l.split("\t")[3] for l in uni_lines}
+    expected = {uid: str(views) for uid, views in EXPECTED_UNIVERSITY_VIEWS.items()}
+    assert cells == {**expected, 1: ""}
+
+    assert run_report(config, echo=quiet) == 0
+    avu = (config.output_dir / "reports" / "alumni_vs_university.txt").read_text()
+    # Harvard is left out, so two universities remain: too few to correlate
+    assert "spearman\tn/a" in avu
 
 
 def test_audit_sample_file(config):
@@ -448,6 +492,32 @@ def test_bad_page_number_fails_only_its_language(project, capfd, field, value):
     assert manifest["languages"]["en"]["status"] == "ok"
     assert manifest["languages"]["ru"]["status"] == "error"
     assert f"<{field}> is not an integer: {value!r}" in manifest["languages"]["ru"]["error"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def damaged(data: bytes, compress: str, damage: str) -> bytes:
+    """data compressed, then cut at two thirds or corrupted: a gzip
+    trailer zeroed, or eight bz2 bytes mid-stream inverted."""
+    packed = gzip.compress(data) if compress == "gzip" else bz2.compress(data)
+    if damage == "truncated":
+        return packed[: len(packed) * 2 // 3]
+    if compress == "gzip":
+        return packed[:-8] + bytes(8)
+    mid = len(packed) // 2
+    return packed[:mid] + bytes(b ^ 0xFF for b in packed[mid:mid + 8]) + packed[mid + 8:]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("compress", ["gzip", "bz2"])
+def test_damaged_compressed_dump_fails_only_its_language(project, capfd, compress, damage):
+    dump = project.parent / "ru.xml"
+    dump.write_bytes(damaged(dump.read_bytes(), compress, damage))
+    config = load_config(project)
+    assert run_ingest(config, echo=quiet) == 1
+    manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
+    assert manifest["languages"]["en"]["status"] == "ok"
+    assert manifest["languages"]["ru"]["status"] == "error"
+    assert manifest["languages"]["ru"]["error"].startswith(f"{dump}: ")
     assert "Traceback" not in capfd.readouterr().err
 
 

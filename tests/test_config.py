@@ -127,6 +127,30 @@ def test_misshapen_config_is_config_error(project, old, new, key):
     assert line.startswith("config error: ") and key in line
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("  - name: popular\n", "  - name: modern\n", "filters[2].name 'modern'"),
+        ("  - name: full\n", "  - name: a/b\n", "filters[0].name"),
+        ("  - name: full\n", '  - name: "a\\tb"\n', "filters[0].name"),
+        ("  - name: full\n", '  - name: "a\\nb"\n', "filters[0].name"),
+        ("  - name: full\n", "  - name: 2020\n", "filters[0].name"),
+        ("  - name: QS-like\n", "  - name: 2020\n", "external_rankings[0].name"),
+        ("  - name: QS-like\n", '  - name: "QS\\tlike"\n', "external_rankings[0].name"),
+    ],
+    ids=["duplicate-filter", "filter-slash", "filter-tab", "filter-line-break", "filter-number",
+         "ranking-number", "ranking-tab"],
+)
+def test_unusable_name_is_config_error(project, old, new, key):
+    text = project.read_text()
+    assert text.count(old) == 1
+    project.write_text(text.replace(old, new))
+    result = CliRunner().invoke(main, ["audit", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: ") and key in line
+
+
 @pytest.mark.parametrize("rate", ["5", "0", "-0.5"])
 def test_audit_rate_out_of_range_is_config_error(project, rate):
     rewrite(project, "rate: 1.0", f"rate: {rate}")

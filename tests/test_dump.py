@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wikialumni import dump
-from wikialumni.dump import WHOLE, DumpSource, collect_redirects, shard_spans, stream_pages
+from wikialumni.dump import (
+    WHOLE, DumpSource, WikiPage, collect_redirects, shard_spans, stream_pages
+)
 from wikialumni.errors import DumpFormatError, DumpParseError, DumpTruncatedError
 
-from conftest import make_dump_xml, write_dump
+from conftest import MW_NS, make_dump_xml, write_dump
 
 
 def source(path, lang="en"):
@@ -45,6 +47,29 @@ def test_namespace_field(tmp_path):
     (page,) = stream_pages(source(path))
     assert page.namespace == 1
     assert not page.is_redirect
+
+
+# Two revisions, each with a contributor <id>, the second with a <parentid>.
+HISTORY_PAGE = (
+    "<page><title>Alpha</title><ns>0</ns><id>7</id>"
+    "<revision><id>100</id><contributor><username>U</username><id>55</id></contributor>"
+    "<text>first text.</text></revision>"
+    "<revision><id>101</id><parentid>100</parentid><contributor><id>56</id></contributor>"
+    "<text>last text.</text></revision></page>"
+)
+
+
+@pytest.mark.parametrize("namespaced", [True, False], ids=["namespaced", "plain"])
+def test_page_decoder_reads_page_fields_and_the_last_revision(tmp_path, namespaced):
+    xmlns = f' xmlns="{MW_NS}"' if namespaced else ""
+    path = tmp_path / "dump.xml"
+    path.write_text(f"<mediawiki{xmlns}>{HISTORY_PAGE}</mediawiki>", encoding="utf-8")
+    expected = WikiPage(
+        title="Alpha", lang="en", namespace=0, redirect_target=None, wikitext="last text.",
+        page_id=7,
+    )
+    assert list(stream_pages(source(path))) == [expected]
+    assert dump.parse_page(HISTORY_PAGE, source(path)) == expected
 
 
 @pytest.mark.parametrize("compress", ["plain", "gzip", "bz2"])
@@ -105,6 +130,20 @@ def test_truncated_dump_yields_then_reports(tmp_path):
         for page in stream_pages(source(path)):
             pages.append(page)
     assert [p.title for p in pages] == ["Alpha", "Beta"]
+
+
+def test_truncated_gzip_dump_yields_then_reports(tmp_path):
+    pages = [dict(title=f"P{i}", page_id=i, text=f"body {i} " * 20) for i in range(400)]
+    packed = gzip.compress(make_dump_xml(pages).encode("utf-8"))
+    path = tmp_path / "trunc.xml.gz"
+    path.write_bytes(packed[: len(packed) // 2])
+    titles = []
+    with pytest.raises(DumpTruncatedError, match="compressed dump truncated") as failure:
+        for page in stream_pages(source(path)):
+            titles.append(page.title)
+    assert 0 < len(titles) < 400
+    assert titles == [f"P{i}" for i in range(len(titles))]
+    assert f"(last complete page: {titles[-1]!r})" in str(failure.value)
 
 
 def test_malformed_xml_reports_offset_and_last_title(tmp_path):

@@ -1,8 +1,8 @@
 """Guards on the package's structure: every TSV parse and artifact write
 goes through wikialumni.tsv, the view cache is one SQLite file written
-from one place, the CLI imports no heavy dependency, every public name
-is read in src/, and every defaulted parameter is set by some call in
-src/ but not by all."""
+from one place, only the dump module reads XML, the CLI imports no heavy
+dependency, every public name is read in src/, and every defaulted
+parameter is set by some call in src/ but not by all."""
 
 import ast
 import subprocess
@@ -111,6 +111,35 @@ def test_view_cache_is_written_from_one_place():
         for site in _cache_put_sites(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert len(sites) == 1 and sites[0].startswith("pageviews.ViewClient."), sites
+
+
+def _xml_imports(tree: ast.AST) -> list[str]:
+    """Each module in the xml package that tree imports, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "xml"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "xml":
+                found.append(node.module)
+    return found
+
+
+def test_scan_finds_xml_imports():
+    tree = ast.parse(
+        "import os, xml.dom\nfrom xml.etree import ElementTree\n"
+        "def f():\n    import xml\n    from . import xml\n    import xmlrpc.client\n"
+    )
+    assert _xml_imports(tree) == ["xml.dom", "xml.etree", "xml"]
+
+
+def test_only_the_dump_module_reads_xml():
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _xml_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["dump"]
 
 
 def test_cli_import_leaves_out_scipy():
