@@ -3,9 +3,13 @@
 A sentence is everything up to a full stop, except that a '.' inside a
 wiki link ("[[St. Andrews]]") never splits.  A sentence containing a
 trigger word contributes one record per university link it holds.
-Extract scans each page once for trigger hits and splits out only the
+Extract searches each page once for trigger hits and splits out only the
 sentences that hold one; a phrase that contains '.' still matches only
-inside one sentence.
+inside one sentence.  The search case-folds the page and each phrase's
+head (its part before the first '.'), finds each head with ``str.find``
+and keeps a hit only where the case-insensitive prefilter regex matches
+the page there.  A page or head whose fold changes its length (ß, İ,
+ligatures) is scanned with that regex instead.
 """
 
 from __future__ import annotations
@@ -135,6 +139,50 @@ def _trigger_patterns(
     return re.compile(prefilter, re.IGNORECASE), each
 
 
+def _fold(text: str) -> str:
+    """Case-fold so that characters re.IGNORECASE treats as equal fold
+    alike when each folds to one character: casefold, plus the dotless
+    'ı' that the regex equates with 'i' and 'I'."""
+    return text.casefold().replace("ı", "i")
+
+
+@lru_cache(maxsize=64)
+def _folded_heads(phrases: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The prefilter's heads, folded; None if a head is empty or folds
+    to another length, since its hits would not line up with the text."""
+    heads = dict.fromkeys(phrase.split(".", 1)[0] for phrase in phrases)
+    if not all(heads) or any(len(_fold(head)) != len(head) for head in heads):
+        return None
+    return tuple(dict.fromkeys(_fold(head) for head in heads))
+
+
+def _trigger_hits(text: str, phrases: tuple[str, ...]) -> list[int]:
+    """Offsets where the prefilter of ``phrases`` matches in ``text``: the
+    starts its ``finditer`` scan gives, and the overlapping matches that
+    the scan skips, which lie in the sentence of the match before them
+    because a head holds no '.'.
+
+    Each folded head is found in the folded text with ``str.find``, and
+    an offset is kept where the prefilter matches the text itself.
+    Wherever the regex matches a head, the folded text holds the folded
+    head at the same offset, provided the text and every head keep
+    their length under ``_fold``; otherwise the prefilter scans the
+    text."""
+    prefilter = _trigger_patterns(phrases)[0]
+    heads = _folded_heads(phrases)
+    folded = None if heads is None else _fold(text)
+    if folded is None or len(folded) != len(text):
+        return [m.start() for m in prefilter.finditer(text)]
+    hits = []
+    for head in heads:
+        at = folded.find(head)
+        while at != -1:
+            if prefilter.match(text, at):
+                hits.append(at)
+            at = folded.find(head, at + 1)
+    return hits
+
+
 def find_trigger(sentence: str, dictionary: MarkerDictionary) -> str | None:
     """First trigger phrase (dictionary order) present at a word boundary."""
     any_phrase, each = _trigger_patterns(dictionary.trigger_words)
@@ -152,11 +200,10 @@ def match_alumni(
     """Emit one record per (person, university) pair found in a
     trigger-bearing sentence; duplicates across sentences are merged.
 
-    One prefilter scan of the page finds the offsets where a trigger may
-    start; only the sentences holding one are split out and tested."""
+    One search of the page finds the offsets where a trigger may start;
+    only the sentences holding one are split out and tested."""
     page = person.page
-    prefilter = _trigger_patterns(dictionary.trigger_words)[0]
-    hits = [m.start() for m in prefilter.finditer(page.wikitext)]
+    hits = _trigger_hits(page.wikitext, dictionary.trigger_words)
     if not hits:
         return []
     records: dict[int, AlumniRecord] = {}

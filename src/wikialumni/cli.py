@@ -8,6 +8,7 @@ artifacts in the output directory.  Exit codes: 0 success, 1 partial
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 import signal
@@ -79,7 +80,14 @@ def _load_manifest(config: PipelineConfig) -> dict | None:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _dictionary_sha256(lang: LanguageConfig) -> str:
+    """SHA-256 of the bytes of the language's dictionary file."""
+    return hashlib.sha256(lang.dictionary.read_bytes()).hexdigest()
+
+
 def _manifest_complete(manifest: dict | None, config: PipelineConfig) -> bool:
+    """Every language was ingested, with the configured dump date and
+    the dictionary file as it is now."""
     if manifest is None:
         return False
     langs = manifest.get("languages", {})
@@ -87,6 +95,7 @@ def _manifest_complete(manifest: dict | None, config: PipelineConfig) -> bool:
         lang.code in langs
         and langs[lang.code].get("status") == "ok"
         and langs[lang.code].get("dump_date") == lang.dump_date
+        and langs[lang.code].get("dictionary_sha256") == _dictionary_sha256(lang)
         for lang in config.languages
     )
 
@@ -115,6 +124,9 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
         echo("ingest: manifest complete, nothing to do")
         return 0
 
+    # hashed before any worker reads it: a dictionary edited during the
+    # run no longer matches its digest, so the next ingest runs again
+    digests = {lang.code: _dictionary_sha256(lang) for lang in config.languages}
     (out / "redirects").mkdir(parents=True, exist_ok=True)
     width = len(os.sched_getaffinity(0))
     spans = {lang.code: shard_spans(str(lang.dump), width) for lang in config.languages}
@@ -129,7 +141,7 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
 
     languages: dict[str, dict] = {}
     for lang_cfg in config.languages:
-        entry = _merge_shards(lang_cfg, shards[lang_cfg.code], out)
+        entry = _merge_shards(lang_cfg, shards[lang_cfg.code], out, digests[lang_cfg.code])
         languages[lang_cfg.code] = entry
         if entry["status"] == "ok":
             echo(f"ingest: {lang_cfg.code}: {entry['pages']} pages, {entry['persons']} persons")
@@ -194,7 +206,9 @@ def _ingest_shard(
     return {"pages": n_pages, "persons": n_persons, "redirects": redirects}
 
 
-def _merge_shards(lang_cfg: LanguageConfig, shards: list[dict], out: Path) -> dict:
+def _merge_shards(
+    lang_cfg: LanguageConfig, shards: list[dict], out: Path, dictionary_sha256: str
+) -> dict:
     """One language's manifest entry from its shard results; on success
     also write redirects/<lang>.tsv."""
     errors = [shard["error"] for shard in shards if "error" in shard]
@@ -212,6 +226,7 @@ def _merge_shards(lang_cfg: LanguageConfig, shards: list[dict], out: Path) -> di
         "redirects": len(resolved),
         "unresolvable_redirects": sorted(unresolvable),
         "dump_date": lang_cfg.dump_date,
+        "dictionary_sha256": dictionary_sha256,
     }
 
 

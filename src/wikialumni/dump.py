@@ -10,7 +10,8 @@ from magic bytes; a compressed dump is always read whole.
 
 One decoder reads a finished ``<page>`` element, both for dumps and for
 the per-person files that ingest writes (``parse_page``), so they share
-one set of field rules and one set of errors.
+one set of field rules and one set of errors; a dump's error adds its
+path and last complete page, and a person file's caller names the file.
 """
 
 from __future__ import annotations
@@ -144,26 +145,33 @@ def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
         if root is None:
             root = elem
         elif event == "end" and _localname(elem.tag) == "page":
-            page = _read_page(elem, source, last_title)
+            try:
+                page = _read_page(elem, source.lang)
+            except DumpParseError as exc:
+                raise DumpParseError(
+                    f"{source.path}: {exc} (last complete page: {last_title!r})"
+                ) from None
             last_title = page.title
             yield page
             root.clear()
 
 
-def parse_page(text: str, source: DumpSource) -> WikiPage:
+def parse_page(text: str, lang: str) -> WikiPage:
     """Decode one ``<page>`` document, such as a person file, as a dump
-    page of source."""
+    page of lang.  Its errors name no file: the caller knows which one
+    it read."""
     try:
         elem = etree.fromstring(text)
     except etree.ParseError as exc:
-        raise DumpParseError(f"{source.path}: malformed XML: {exc}") from exc
-    return _read_page(elem, source, None)
+        raise DumpParseError(f"malformed XML: {exc}") from exc
+    return _read_page(elem, lang)
 
 
-def _read_page(elem: etree.Element, source: DumpSource, last_title: str | None) -> WikiPage:
+def _read_page(elem: etree.Element, lang: str) -> WikiPage:
     """The page's own <title>, <ns>, first <id> and <redirect title>, and
     the <text> of its last <revision>, each matched by local name; a
-    missing <ns> is 0, a missing <id> is -1."""
+    missing <ns> is 0, a missing <id> is -1.  A DumpParseError names the
+    field but not the file or page."""
     children: dict[str, etree.Element] = {}
     for child in elem:
         tag = _localname(child.tag)
@@ -176,23 +184,20 @@ def _read_page(elem: etree.Element, source: DumpSource, last_title: str | None) 
     redirect = children.get("redirect")
     return WikiPage(
         title=fields.get("title", ""),
-        lang=source.lang,
-        namespace=_integer(fields.get("ns") or "0", "ns", source, last_title),
+        lang=lang,
+        namespace=_integer(fields.get("ns") or "0", "ns"),
         redirect_target=None if redirect is None else redirect.get("title", ""),
         wikitext=fields.get("text", ""),
-        page_id=_integer(fields.get("id", "-1"), "id", source, last_title),
+        page_id=_integer(fields.get("id", "-1"), "id"),
     )
 
 
-def _integer(text: str, field: str, source: DumpSource, last_title: str | None) -> int:
+def _integer(text: str, field: str) -> int:
     """int(text), or a DumpParseError that names the field and the value."""
     try:
         return int(text)
     except ValueError:
-        raise DumpParseError(
-            f"{source.path}: page <{field}> is not an integer: {text!r}"
-            f" (last complete page: {last_title!r})"
-        ) from None
+        raise DumpParseError(f"page <{field}> is not an integer: {text!r}") from None
 
 
 def shard_spans(path: str, n: int) -> list[Span]:

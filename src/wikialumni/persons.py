@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dump import DumpSource, WikiPage, parse_page
+from .dump import WikiPage, parse_page
 from .registry import MarkerDictionary
 
 BIRTH_YEAR_MIN = 800
@@ -81,7 +81,7 @@ def persist_person(person: PersonPage, out_dir: str | Path) -> Path:
 def load_person_file(path: str | Path, lang: str) -> PersonPage:
     """Read back a file written by persist_person."""
     path = Path(path)
-    page = parse_page(path.read_text(encoding="utf-8"), DumpSource(path=str(path), lang=lang))
+    page = parse_page(path.read_text(encoding="utf-8"), lang)
     stem_year = path.stem.rsplit("_", 1)[1]
     birth_year = int(stem_year) if stem_year else None
     return PersonPage(page=page, birth_year=birth_year)

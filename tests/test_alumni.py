@@ -1,8 +1,9 @@
 import random
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wikialumni import alumni
 from wikialumni.alumni import (
@@ -349,10 +350,13 @@ def dotted_registry(tmp_path_factory):
 
 
 # phrases may start with, end with or contain '.'; İ ı ſ fold to i and s
-# under re.IGNORECASE
-PHRASE_ALPHABET = list("ahipsİıſ. ")
+# under re.IGNORECASE.  ß ẞ İ ﬁ fold to two characters, so a page or phrase
+# holding one takes the prefilter's regex scan; the Kelvin sign K, Σ ς and
+# ᲂ fold to one (k, σ, о) and keep the folded search.
+PHRASE_ALPHABET = list("ahipsİıſ. ßẞ\u212akΣςᲂﬁ")
 TEXT_PIECES = [".", " ", "[[", "]]", "|", "İ", "ı", "ſ", "a", "h", "i", "p", "s", "D", "x ",
-               "[[Univ A]]", "[[St. Andrews]]", "[[Univ B|b.]]", "[[univ A|A]]", "[[Nowhere]]"]
+               "[[Univ A]]", "[[St. Andrews]]", "[[Univ B|b.]]", "[[univ A|A]]", "[[Nowhere]]",
+               "ß", "ẞ", "\u212a", "K", "Σ", "ς", "ᲂ", "о", "ﬁ"]
 
 
 @settings(max_examples=600, deadline=None)
@@ -367,6 +371,53 @@ def test_match_alumni_equals_per_sentence_oracle(dotted_registry, data):
     assert match_alumni(page, dotted_registry, dictionary) == per_sentence_match(
         page, dotted_registry, dictionary
     )
+
+
+def test_fold_agrees_with_ignorecase_on_every_cased_code_point():
+    """Wherever re.IGNORECASE treats two characters as equal and each
+    folds to one character, _fold gives both the same result.
+
+    The regex treats two different characters as equal only through case:
+    their simple lowercase forms agree, or re lists them together among
+    its extra equivalences ('ı' with 'i' and 'I', 'ſ' with 's' ...).  A
+    character whose lower, upper and casefold are all itself is no
+    character's lowercase (checked below) and has none of its own, so it
+    equals only itself, on which _fold trivially agrees.  Every pair
+    therefore lies among the cased code points, and each one is matched
+    against all of them."""
+    cased = [ch for ch in map(chr, range(sys.maxunicode + 1))
+             if ch.lower() != ch or ch.upper() != ch or ch.casefold() != ch]
+    members = set(cased)
+    assert all(len(image) > 1 or image in members
+               for ch in cased for image in (ch.lower(), ch.upper(), ch.casefold()))
+    haystack = "".join(cased)
+    misses = []
+    for ch in cased:
+        for match in re.finditer(re.escape(ch), haystack, re.IGNORECASE):
+            ours, theirs = alumni._fold(ch), alumni._fold(match.group())
+            if len(ours) == len(theirs) == 1 and ours != theirs:
+                misses.append((ch, match.group()))
+    assert misses == []
+
+
+HIT_ALPHABET = list("İıſßẞΣσςᲂоKÅµϐϑϰᲀᲃẛﬅﬁ") + list("aiknst. -")
+
+
+@settings(max_examples=500, deadline=None)
+@example(phrases=["İ"], text="i")
+@example(phrases=["istanbul"], text="İstanbul")
+@example(phrases=["strasse", "straße"], text="Straße and STRASSE")
+@given(
+    phrases=st.lists(st.text(alphabet=HIT_ALPHABET, min_size=1, max_size=4), min_size=1,
+                     max_size=4),
+    text=st.text(alphabet=HIT_ALPHABET, max_size=40),
+)
+def test_trigger_hits_hold_every_prefilter_match(phrases, text):
+    phrases = tuple(phrases)
+    prefilter = alumni._trigger_patterns(phrases)[0]
+    hits = alumni._trigger_hits(text, phrases)
+    assert {m.start() for m in prefilter.finditer(text)} <= set(hits)
+    assert all(prefilter.match(text, at) for at in hits)
 
 
 @settings(max_examples=500)

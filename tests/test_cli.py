@@ -118,7 +118,12 @@ def test_extract_skips_corrupted_person_file(config):
     run_ingest(config, echo=quiet)
     bad = config.output_dir / "persons" / "en" / "page_999_.xml"
     bad.write_text("<page><broken", encoding="utf-8")
-    assert run_extract(config, echo=quiet) == 1
+    messages = []
+    assert run_extract(config, echo=lambda *a, **k: messages.append(a[0])) == 1
+    assert messages[0] == (
+        "extract: skipping corrupted page_999_.xml: malformed XML: unclosed token: line 1,"
+        " column 6"
+    )
     records = alumni.read_dataset(config.output_dir / DATASET_NAME)
     assert len(records) == len(EXPECTED_DATASET)
 
@@ -132,7 +137,7 @@ def test_person_file_with_a_bad_id_is_skipped(config):
     messages = []
     assert run_extract(config, echo=lambda *a, **k: messages.append(a[0])) == 1
     (line,) = [m for m in messages if person.name in m]
-    assert line.startswith("extract: skipping") and "<id> is not an integer: 'x'" in line
+    assert line == f"extract: skipping corrupted {person.name}: page <id> is not an integer: 'x'"
     records = alumni.read_dataset(config.output_dir / DATASET_NAME)
     assert "Alice Sample" not in {r.person_link for r in records}
     assert len(records) == len(EXPECTED_DATASET) - 1
@@ -541,6 +546,28 @@ def test_changed_dump_date_reingests(project):
     assert [p.name for p in person_dir.iterdir()] == ["page_50_2019.xml"]
     manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
     assert manifest["languages"]["en"]["dump_date"] == "2020-09-01"
+
+
+def test_changed_dictionary_reingests(config):
+    assert run_ingest(config, echo=quiet) == 0
+    person_dir = config.output_dir / "persons" / "en"
+    assert len(list(person_dir.iterdir())) == 6
+    en = next(lang for lang in config.languages if lang.code == "en")
+    text = en.dictionary.read_text(encoding="utf-8")
+    markers, triggers = text.split("[trigger_words]")
+    assert "[person_markers]" in markers
+    en.dictionary.write_text(
+        "[person_markers]\nno page says this\n[trigger_words]" + triggers, encoding="utf-8"
+    )
+    with pytest.raises(ConfigError, match="no complete ingest manifest"):
+        run_extract(config, echo=quiet)
+    messages = []
+    assert run_ingest(config, echo=lambda *a, **k: messages.append(a[0])) == 0
+    assert not any("nothing to do" in m for m in messages)
+    assert list(person_dir.iterdir()) == []
+    manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
+    assert manifest["languages"]["en"]["persons"] == 0
+    assert run_extract(config, echo=quiet) == 0
 
 
 def test_ingest_entry_larger_than_pipe_buffer(project, config):

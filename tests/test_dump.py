@@ -69,7 +69,7 @@ def test_page_decoder_reads_page_fields_and_the_last_revision(tmp_path, namespac
         page_id=7,
     )
     assert list(stream_pages(source(path))) == [expected]
-    assert dump.parse_page(HISTORY_PAGE, source(path)) == expected
+    assert dump.parse_page(HISTORY_PAGE, "en") == expected
 
 
 @pytest.mark.parametrize("compress", ["plain", "gzip", "bz2"])

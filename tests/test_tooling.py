@@ -1,10 +1,12 @@
 """Guards on the package's structure: every TSV parse and artifact write
 goes through wikialumni.tsv, the view cache is one SQLite file written
 from one place, only the dump module reads XML, the CLI imports no heavy
-dependency, every public name is read in src/, and every defaulted
-parameter is set by some call in src/ but not by all."""
+dependency, every name the benchmark's tracer patches exists, every
+public name is read in src/, and every defaulted parameter is set by some
+call in src/ but not by all."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +156,22 @@ def test_cli_import_leaves_out_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_every_traced_name_exists():
+    """perfbench/tracing.py patches each (owner, attribute) of its
+    _layers(), and cli.stream_pages, by name; a rename fails here with
+    the missing name instead of crashing the traced benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wanted = [(owner, attr) for owner, attr, _name, _counters in tracing._layers()]
+    missing = [
+        f"{owner.__name__}.{attr}" for owner, attr in wanted + [(wikialumni.cli, "stream_pages")]
+        if attr not in vars(owner)
+    ]
+    assert missing == []
 
 
 # Public names that nothing in src/ reads, each kept for a reason.
