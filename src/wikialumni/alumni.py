@@ -9,7 +9,12 @@ inside one sentence.  The search case-folds the page and each phrase's
 head (its part before the first '.'), finds each head with ``str.find``
 and keeps a hit only where the case-insensitive prefilter regex matches
 the page there.  A page or head whose fold changes its length (ß, İ,
-ligatures) is scanned with that regex instead.
+ligatures) is scanned with that regex instead.  The prefilter, the
+per-phrase patterns and the folded heads are compiled once per phrase
+tuple.
+
+The matcher takes a page and its birth year as plain values and imports
+nothing of the person files, so any stage can call it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .persons import PersonPage
+from .dump import WikiPage
 from .registry import MarkerDictionary, Registry
 from .tsv import read_tsv, write_tsv
 
@@ -114,8 +119,10 @@ def _sentences(wikitext: str, spans: list[tuple[int, int]]) -> list[Sentence]:
 @lru_cache(maxsize=64)
 def _trigger_patterns(
     phrases: tuple[str, ...],
-) -> tuple[re.Pattern[str], tuple[tuple[str, re.Pattern[str]], ...]]:
-    """A prefilter over all phrases, and one pattern per phrase.
+) -> tuple[re.Pattern[str], tuple[tuple[str, re.Pattern[str]], ...], tuple[str, ...] | None]:
+    """A prefilter over all phrases, one pattern per phrase, and the
+    prefilter's heads folded (None if a head is empty or folds to another
+    length, since its hits would not line up with the text).
 
     The prefilter alternates each phrase's head, the part before its
     first '.', so a hit never spans a sentence end.  Wherever a phrase
@@ -136,7 +143,10 @@ def _trigger_patterns(
     each = tuple(
         (phrase, re.compile(bounded(re.escape(phrase)), re.IGNORECASE)) for phrase in phrases
     )
-    return re.compile(prefilter, re.IGNORECASE), each
+    folded = None
+    if all(heads) and all(len(_fold(head)) == len(head) for head in heads):
+        folded = tuple(dict.fromkeys(_fold(head) for head in heads))
+    return re.compile(prefilter, re.IGNORECASE), each, folded
 
 
 def _fold(text: str) -> str:
@@ -144,16 +154,6 @@ def _fold(text: str) -> str:
     alike when each folds to one character: casefold, plus the dotless
     'ı' that the regex equates with 'i' and 'I'."""
     return text.casefold().replace("ı", "i")
-
-
-@lru_cache(maxsize=64)
-def _folded_heads(phrases: tuple[str, ...]) -> tuple[str, ...] | None:
-    """The prefilter's heads, folded; None if a head is empty or folds
-    to another length, since its hits would not line up with the text."""
-    heads = dict.fromkeys(phrase.split(".", 1)[0] for phrase in phrases)
-    if not all(heads) or any(len(_fold(head)) != len(head) for head in heads):
-        return None
-    return tuple(dict.fromkeys(_fold(head) for head in heads))
 
 
 def _trigger_hits(text: str, phrases: tuple[str, ...]) -> list[int]:
@@ -168,8 +168,7 @@ def _trigger_hits(text: str, phrases: tuple[str, ...]) -> list[int]:
     head at the same offset, provided the text and every head keep
     their length under ``_fold``; otherwise the prefilter scans the
     text."""
-    prefilter = _trigger_patterns(phrases)[0]
-    heads = _folded_heads(phrases)
+    prefilter, _each, heads = _trigger_patterns(phrases)
     folded = None if heads is None else _fold(text)
     if folded is None or len(folded) != len(text):
         return [m.start() for m in prefilter.finditer(text)]
@@ -185,24 +184,20 @@ def _trigger_hits(text: str, phrases: tuple[str, ...]) -> list[int]:
 
 def find_trigger(sentence: str, dictionary: MarkerDictionary) -> str | None:
     """First trigger phrase (dictionary order) present at a word boundary."""
-    any_phrase, each = _trigger_patterns(dictionary.trigger_words)
-    if any_phrase.search(sentence) is None:
-        return None
-    for phrase, pattern in each:
+    for phrase, pattern in _trigger_patterns(dictionary.trigger_words)[1]:
         if pattern.search(sentence):
             return phrase
     return None
 
 
 def match_alumni(
-    person: PersonPage, registry: Registry, dictionary: MarkerDictionary
+    page: WikiPage, birth_year: int | None, registry: Registry, dictionary: MarkerDictionary
 ) -> list[AlumniRecord]:
     """Emit one record per (person, university) pair found in a
     trigger-bearing sentence; duplicates across sentences are merged.
 
     One search of the page finds the offsets where a trigger may start;
     only the sentences holding one are split out and tested."""
-    page = person.page
     hits = _trigger_hits(page.wikitext, dictionary.trigger_words)
     if not hits:
         return []
@@ -219,7 +214,7 @@ def match_alumni(
                 university_id=uid,
                 university_name=registry.name_of(uid),
                 person_link=page.title,
-                birth_year=person.birth_year,
+                birth_year=birth_year,
                 lang=page.lang,
                 sentence=sentence.text.strip(),
                 trigger=trigger,

@@ -75,9 +75,13 @@ def _load_manifest(config: PipelineConfig) -> dict | None:
     if not path.exists():
         return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{path}: {exc}") from exc
+    langs = manifest.get("languages") if isinstance(manifest, dict) else None
+    if not isinstance(langs, dict) or not all(isinstance(e, dict) for e in langs.values()):
+        raise ValueError(f'{path}: not an object whose "languages" is an object of objects')
+    return manifest
 
 
 def _dictionary_sha256(lang: LanguageConfig) -> str:
@@ -90,7 +94,7 @@ def _manifest_complete(manifest: dict | None, config: PipelineConfig) -> bool:
     the dictionary file as it is now."""
     if manifest is None:
         return False
-    langs = manifest.get("languages", {})
+    langs = manifest["languages"]
     return all(
         lang.code in langs
         and langs[lang.code].get("status") == "ok"
@@ -164,7 +168,7 @@ def _ingest_languages(
     for lang_cfg in langs:
         person_dir = config.output_dir / "persons" / lang_cfg.code
         person_dir.mkdir(parents=True, exist_ok=True)
-        for stale in person_dir.glob("page_*.xml"):
+        for stale in persons.person_files(person_dir):
             stale.unlink()
     units = [(lang_cfg, span) for lang_cfg in langs for span in spans[lang_cfg.code]]
     shards: dict[str, list[dict]] = {lang_cfg.code: [] for lang_cfg in langs}
@@ -184,7 +188,7 @@ def _ingest_shard(
     # birth years are bounded by the dump, not by the wall clock
     year_bound = dump_year(lang_cfg) or analysis_year
     try:
-        dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
+        dictionary = load_dictionary(lang_cfg.dictionary)
         source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
         n_pages = n_persons = 0
         redirects = []
@@ -199,7 +203,7 @@ def _ingest_shard(
             if marker is None:
                 continue
             year = persons.extract_birth_year(page, year_bound)
-            persons.persist_person(persons.PersonPage(page, year), person_dir)
+            persons.persist_person(page, year, person_dir)
             n_persons += 1
     except WikiAlumniError as exc:
         return {"error": str(exc)}
@@ -326,17 +330,15 @@ def run_extract(config: PipelineConfig, echo=click.echo) -> int:
     records: list[alumni.AlumniRecord] = []
     n_corrupt = 0
     for lang_cfg in config.languages:
-        dictionary = load_dictionary(lang_cfg.dictionary, lang_cfg.code)
-        person_dir = out / "persons" / lang_cfg.code
-        # iterdir, unlike glob, fails on a missing directory
-        for path in sorted(p for p in person_dir.iterdir() if p.match("page_*.xml")):
+        dictionary = load_dictionary(lang_cfg.dictionary)
+        for path in persons.person_files(out / "persons" / lang_cfg.code):
             try:
-                person = persons.load_person_file(path, lang_cfg.code)
+                page, birth_year = persons.load_person_file(path, lang_cfg.code)
             except Exception as exc:
                 echo(f"extract: skipping corrupted {path.name}: {exc}", err=True)
                 n_corrupt += 1
                 continue
-            records.extend(alumni.match_alumni(person, registry, dictionary))
+            records.extend(alumni.match_alumni(page, birth_year, registry, dictionary))
     records = alumni.merge_records(records)
     alumni.write_dataset(records, out / DATASET_NAME)
     _write_evidence(records, out / EVIDENCE_NAME)

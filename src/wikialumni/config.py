@@ -23,6 +23,10 @@ MODE_FIXTURE = "fixture"
 
 PAGEVIEW_API_FLOOR_YEAR = 2015
 
+# the shape of a Wikipedia language code; a code names persons/<code>/,
+# redirects/<code>.tsv and the host <code>.wikipedia.org
+_LANG_CODE = re.compile(r"[a-z][a-z0-9-]*")
+
 
 @dataclass(frozen=True)
 class LanguageConfig:
@@ -107,6 +111,19 @@ def _name(key: str, value) -> str:
     return value
 
 
+def _language_code(index: int, value, earlier: list[LanguageConfig]) -> str:
+    """value if it is YAML text shaped like a Wikipedia language code
+    and no earlier language has it, else a ConfigError that names
+    languages[index].code."""
+    key = f"languages[{index}].code"
+    if not isinstance(value, str) or not _LANG_CODE.fullmatch(value):
+        raise ConfigError(f"{key} must be text matching {_LANG_CODE.pattern}, got {value!r}")
+    for j, lang in enumerate(earlier):
+        if lang.code == value:
+            raise ConfigError(f"{key} {value!r} is already the code of languages[{j}]")
+    return value
+
+
 def _mapping(key: str, value) -> dict:
     """value if it is a YAML mapping, else a ConfigError that names the key."""
     if not isinstance(value, dict):
@@ -160,10 +177,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         return p if p.is_absolute() else base / p
 
     languages = []
-    for item in _entries(raw, "languages", ("code", "dump", "dictionary")):
+    for i, item in enumerate(_entries(raw, "languages", ("code", "dump", "dictionary"))):
         languages.append(
             LanguageConfig(
-                code=item["code"],
+                code=_language_code(i, item["code"], languages),
                 dump=_resolve(item["dump"]),
                 dictionary=_resolve(item["dictionary"]),
                 dump_date=str(item.get("dump_date", "")),

@@ -150,9 +150,12 @@ class LiveBackend:
                     return None
                 if 200 <= resp.status_code < 300:
                     try:
-                        return resp.json()
+                        payload = resp.json()
                     except ValueError as exc:
                         raise FetchError(f"malformed JSON from {url}") from exc
+                    if payload is None:  # would read as a 404
+                        raise FetchError(f"unexpected JSON from {url}")
+                    return payload
                 last_exc = FetchError(f"HTTP {resp.status_code} from {url}")
                 if resp.status_code == 429:
                     wait = _retry_after(resp.headers.get("Retry-After"))
@@ -173,11 +176,15 @@ class LiveBackend:
         payload = self._get(url)
         if payload is None:
             return 0, True
-        return sum(item["views"] for item in payload.get("items", [])), False
+        items = _objects(payload, "items", url)
+        if not all(type(item.get("views")) is int for item in items):
+            raise FetchError(f"unexpected JSON from {url}")
+        return sum(item["views"] for item in items), False
 
     def get_english_title(self, title: str, lang: str) -> str | None:
+        url = LANGLINKS_URL.format(lang=lang)
         payload = self._get(
-            LANGLINKS_URL.format(lang=lang),
+            url,
             params={
                 "action": "query",
                 "prop": "langlinks",
@@ -189,10 +196,23 @@ class LiveBackend:
         )
         if payload is None:
             return None
-        for page in payload.get("query", {}).get("pages", []):
-            for link in page.get("langlinks", []):
-                return link.get("title")
+        query = payload.get("query", {}) if isinstance(payload, dict) else None
+        for page in _objects(query, "pages", url):
+            for link in _objects(page, "langlinks", url):
+                title_en = link.get("title")
+                if title_en is not None and not isinstance(title_en, str):
+                    raise FetchError(f"unexpected JSON from {url}")
+                return title_en
         return None
+
+
+def _objects(payload, key: str, url: str) -> list[dict]:
+    """payload[key], or [] if payload has no key, when payload is a JSON
+    object and that value a list of objects; else FetchError."""
+    value = payload.get(key, []) if isinstance(payload, dict) else None
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise FetchError(f"unexpected JSON from {url}")
+    return value
 
 
 def _retry_after(value: str | None) -> float | None:

@@ -4,12 +4,17 @@ The birth year is the first standalone four-digit token found within the
 first 1000 whitespace-delimited words of the raw wikitext, accepted only
 if it falls in a plausible range; out-of-range tokens are skipped and
 the scan continues.
+
+Ingest writes each person page to persons/<lang>/page_<id>_<year>.xml
+(the year empty when none was found); extract reads the page back and
+takes the birth year from the file's name.  ``person_filename`` names
+one file and ``person_files`` lists them; no other module spells the
+name pattern.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dump import WikiPage, parse_page
@@ -19,12 +24,6 @@ BIRTH_YEAR_MIN = 800
 WORD_WINDOW = 1000
 
 _FOUR_DIGITS = re.compile(r"(?<!\d)\d{4}(?!\d)")
-
-
-@dataclass(frozen=True)
-class PersonPage:
-    page: WikiPage
-    birth_year: int | None
 
 
 def detect_person(page: WikiPage, dictionary: MarkerDictionary) -> str | None:
@@ -58,12 +57,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def persist_person(person: PersonPage, out_dir: str | Path) -> Path:
+def persist_person(page: WikiPage, birth_year: int | None, out_dir: str | Path) -> Path:
     """Write the page element to page_<id>_<year>.xml in out_dir, which
     must exist; idempotent.  Ingest persists no redirect page, so there
     is no <redirect> element."""
-    path = Path(out_dir) / person_filename(person.page.page_id, person.birth_year)
-    page = person.page
+    path = Path(out_dir) / person_filename(page.page_id, birth_year)
     body = (
         "<page>\n"
         f"  <title>{_escape(page.title)}</title>\n"
@@ -78,10 +76,16 @@ def persist_person(person: PersonPage, out_dir: str | Path) -> Path:
     return path
 
 
-def load_person_file(path: str | Path, lang: str) -> PersonPage:
-    """Read back a file written by persist_person."""
+def person_files(person_dir: Path) -> list[Path]:
+    """The person files in person_dir, sorted by name; fails, as iterdir
+    does, on a missing directory."""
+    return sorted(p for p in person_dir.iterdir() if p.match("page_*.xml"))
+
+
+def load_person_file(path: str | Path, lang: str) -> tuple[WikiPage, int | None]:
+    """Read back a file written by persist_person: its page, and the
+    birth year from its name."""
     path = Path(path)
     page = parse_page(path.read_text(encoding="utf-8"), lang)
     stem_year = path.stem.rsplit("_", 1)[1]
-    birth_year = int(stem_year) if stem_year else None
-    return PersonPage(page=page, birth_year=birth_year)
+    return page, int(stem_year) if stem_year else None

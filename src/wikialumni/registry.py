@@ -53,7 +53,6 @@ class MarkerDictionary:
     Matching is always case-insensitive.
     """
 
-    lang: str
     person_markers: tuple[str, ...]
     trigger_words: tuple[str, ...]
 
@@ -147,7 +146,7 @@ def _fold_aliases(title_sets: list[set[str]], redirects: dict[str, str]) -> None
                 owners.setdefault(norm, []).append(titles)
 
 
-def load_dictionary(path: str | Path, lang: str) -> MarkerDictionary:
+def load_dictionary(path: str | Path) -> MarkerDictionary:
     """Parse a dictionary file: '[person_markers]' and '[trigger_words]'
     sections, one phrase per line, '#' comments."""
     sections: dict[str, list[str]] = {"person_markers": [], "trigger_words": []}
@@ -174,7 +173,6 @@ def load_dictionary(path: str | Path, lang: str) -> MarkerDictionary:
     if not sections["person_markers"] or not sections["trigger_words"]:
         raise DictionaryError(f"{path}: both sections must be non-empty")
     return MarkerDictionary(
-        lang=lang,
         person_markers=tuple(sections["person_markers"]),
         trigger_words=tuple(sections["trigger_words"]),
     )

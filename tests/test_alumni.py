@@ -17,13 +17,11 @@ from wikialumni.alumni import (
     write_dataset,
 )
 from wikialumni.dump import WikiPage
-from wikialumni.persons import PersonPage
 from wikialumni.registry import MarkerDictionary, load_registry
 
 from conftest import TABLE45, table_records, write_universities_file
 
 DICT = MarkerDictionary(
-    lang="en",
     person_markers=("born",),
     trigger_words=("graduated", "alumnus", "received degree", "studied at"),
 )
@@ -165,20 +163,23 @@ TRIGGER_ALPHABET = list("inasINаоИОіİıßẞſ") + list(" .-_1")
 
 
 @settings(max_examples=500)
+@example(sentence="He got a Ph.D. then.", phrases=["ph."])  # head "ph" differs from the phrase
+@example(sentence="a .x b.", phrases=[".x"])  # empty head
+@example(sentence="She left early.", phrases=["graduated", "studied at"])  # no head
 @given(
     sentence=st.text(alphabet=TRIGGER_ALPHABET, max_size=30),
     phrases=st.lists(st.text(alphabet=TRIGGER_ALPHABET, min_size=1, max_size=4),
                      min_size=1, max_size=5),
 )
 def test_find_trigger_matches_per_phrase_loop(sentence, phrases):
-    dictionary = MarkerDictionary("xx", ("born",), tuple(phrases))
+    dictionary = MarkerDictionary(("born",), tuple(phrases))
     assert find_trigger(sentence, dictionary) == per_phrase_trigger(sentence, phrases)
 
 
 def test_find_trigger_dotted_capital_i():
     # "İ" case-insensitively matches "i" in the regex, though "İn".casefold()
     # is "i̇n" (with U+0307), so a casefold substring test would miss it
-    dictionary = MarkerDictionary("en", ("born",), ("graduated", "in"))
+    dictionary = MarkerDictionary(("born",), ("graduated", "in"))
     assert find_trigger("İn 1990 she left.", dictionary) == "in"
 
 
@@ -197,11 +198,11 @@ def person(text, title="Meghan Markle", year=1981):
         title=title, lang="en", namespace=0, redirect_target=None,
         wikitext=text, page_id=10,
     )
-    return PersonPage(page, year)
+    return page, year
 
 
 def test_markle_sentence(registry):
-    records = match_alumni(person("She graduated from [[Northwestern University]]."), registry, DICT)
+    records = match_alumni(*person("She graduated from [[Northwestern University]]."), registry, DICT)
     assert len(records) == 1
     rec = records[0]
     assert rec.university_name == "Northwestern University"
@@ -213,12 +214,12 @@ def test_markle_sentence(registry):
 
 def test_trigger_and_link_in_different_sentences(registry):
     text = "She graduated with honors. She loved [[Northwestern University]]."
-    assert match_alumni(person(text), registry, DICT) == []
+    assert match_alumni(*person(text), registry, DICT) == []
 
 
 def test_two_universities_one_sentence(registry):
     text = "He received degree at [[Univ A]] and [[Univ B]]."
-    records = match_alumni(person(text), registry, DICT)
+    records = match_alumni(*person(text), registry, DICT)
     assert sorted(r.university_name for r in records) == ["Univ A", "Univ B"]
 
 
@@ -236,42 +237,42 @@ def test_exhaustive_sentence_link_trigger_enumeration(registry):
             for target in ("Univ A", "Univ B", "Northwestern University"):
                 if f"[[{target}]]" in sent:
                     expected.add(target)
-    records = match_alumni(person(text), registry, DICT)
+    records = match_alumni(*person(text), registry, DICT)
     assert {r.university_name for r in records} == expected == {"Univ A", "Univ B"}
 
 
 def test_trigger_case_insensitive(registry):
-    records = match_alumni(person("She GRADUATED from [[Northwestern University]]."), registry, DICT)
+    records = match_alumni(*person("She GRADUATED from [[Northwestern University]]."), registry, DICT)
     assert len(records) == 1
 
 
 def test_trigger_word_boundary(registry):
     # "undergraduated" must not fire the "graduated" trigger
-    records = match_alumni(person("He undergraduated at [[Univ A]]."), registry, DICT)
+    records = match_alumni(*person("He undergraduated at [[Univ A]]."), registry, DICT)
     assert records == []
 
 
 def test_duplicate_sentences_merge(registry):
     text = "He graduated from [[Univ A]]. He also graduated from [[Univ A]]."
-    records = match_alumni(person(text), registry, DICT)
+    records = match_alumni(*person(text), registry, DICT)
     assert len(records) == 1
 
 
 def test_trigger_removal_locality(registry):
     base = "He graduated from [[Univ A]]. He studied at [[Univ B]]."
     stripped = "He finished at [[Univ A]]. He studied at [[Univ B]]."
-    full = {r.university_name for r in match_alumni(person(base), registry, DICT)}
-    partial = {r.university_name for r in match_alumni(person(stripped), registry, DICT)}
+    full = {r.university_name for r in match_alumni(*person(base), registry, DICT)}
+    partial = {r.university_name for r in match_alumni(*person(stripped), registry, DICT)}
     assert full == {"Univ A", "Univ B"}
     assert partial == {"Univ B"}
 
 
 def test_trigger_monotonicity(registry):
     text = "He trained at [[Univ A]]. He graduated from [[Univ B]]."
-    small = MarkerDictionary("en", ("born",), ("graduated",))
-    big = MarkerDictionary("en", ("born",), ("graduated", "trained at"))
-    n_small = len(match_alumni(person(text), registry, small))
-    n_big = len(match_alumni(person(text), registry, big))
+    small = MarkerDictionary(("born",), ("graduated",))
+    big = MarkerDictionary(("born",), ("graduated", "trained at"))
+    n_small = len(match_alumni(*person(text), registry, small))
+    n_big = len(match_alumni(*person(text), registry, big))
     assert n_big >= n_small
     assert n_big == 2
 
@@ -313,11 +314,10 @@ def test_no_duplicate_triples_in_output(tmp_path):
     assert len(keys) == len(set(keys)) == len(TABLE45)
 
 
-def per_sentence_match(person, registry, dictionary):
+def per_sentence_match(page, birth_year, registry, dictionary):
     """match_alumni as it was before the page-wide prefilter: every
     sentence split out and tested, with the per-character splitter and
     the per-phrase trigger loop above, kept as the oracle."""
-    page = person.page
     records = {}
     for sentence in per_char_split(page.wikitext):
         trigger = per_phrase_trigger(sentence.text, dictionary.trigger_words)
@@ -331,7 +331,7 @@ def per_sentence_match(person, registry, dictionary):
                 university_id=uid,
                 university_name=registry.name_of(uid),
                 person_link=page.title,
-                birth_year=person.birth_year,
+                birth_year=birth_year,
                 lang=page.lang,
                 sentence=sentence.text.strip(),
                 trigger=trigger,
@@ -366,10 +366,10 @@ def test_match_alumni_equals_per_sentence_oracle(dotted_registry, data):
                                  min_size=1, max_size=4))
     pieces = st.sampled_from(TEXT_PIECES + phrases)
     text = "".join(data.draw(st.lists(pieces, max_size=30)))
-    dictionary = MarkerDictionary("en", ("born",), tuple(phrases))
-    page = person(text)
-    assert match_alumni(page, dotted_registry, dictionary) == per_sentence_match(
-        page, dotted_registry, dictionary
+    dictionary = MarkerDictionary(("born",), tuple(phrases))
+    page, year = person(text)
+    assert match_alumni(page, year, dotted_registry, dictionary) == per_sentence_match(
+        page, year, dotted_registry, dictionary
     )
 
 
@@ -439,9 +439,9 @@ def test_split_containing_keeps_sentences_holding_an_offset(data):
 def test_trigger_ending_in_full_stop(registry):
     # the phrase matches at the very end of its sentence, where the
     # sentence's last '.' is the phrase's; in the whole text 'D' follows
-    dictionary = MarkerDictionary("en", ("born",), ("ph.",))
+    dictionary = MarkerDictionary(("born",), ("ph.",))
     text = "At [[Univ A]] he got a Ph.D. in 1990."
-    records = match_alumni(person(text), registry, dictionary)
+    records = match_alumni(*person(text), registry, dictionary)
     assert [(r.university_name, r.sentence, r.trigger) for r in records] == [
         ("Univ A", "At [[Univ A]] he got a Ph.", "ph.")
     ]
@@ -457,7 +457,7 @@ def test_find_trigger_runs_only_on_trigger_sentences(registry, monkeypatch):
     sentences[1999] = "Then he received degree at [[Northwestern University]]."
     text = " ".join(sentences)
     assert len(split_sentences(text)) == 2000
-    records = match_alumni(person(text), registry, DICT)
+    records = match_alumni(*person(text), registry, DICT)
     assert sorted(r.university_name for r in records) == [
         "Northwestern University", "Univ A", "Univ B"
     ]

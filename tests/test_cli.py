@@ -747,3 +747,21 @@ def test_shard_count_does_not_change_outputs(tmp_path, monkeypatch, deadline, br
             "Hop C\tHarvard University",
             "Twice\tBeta Target",
         ]
+
+
+@pytest.mark.parametrize("command", ["extract", "ingest"])
+@pytest.mark.parametrize(
+    "content", ["[]", '{"languages": {"en": 1}}', '{"languages": 5}'],
+    ids=["list", "entry-not-an-object", "languages-not-an-object"],
+)
+def test_manifest_of_the_wrong_shape_is_one_error_line(project, config, content, command):
+    assert run_ingest(config, echo=quiet) == 0
+    (config.output_dir / MANIFEST_NAME).write_text(content, encoding="utf-8")
+    result = CliRunner().invoke(main, [command, "-c", str(project)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line == (
+        f"error: {config.output_dir / MANIFEST_NAME}: "
+        'not an object whose "languages" is an object of objects'
+    )

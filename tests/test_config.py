@@ -190,3 +190,18 @@ def test_rate_limit_env_that_turns_limiting_off_is_config_error(project, monkeyp
     assert result.exit_code == 2
     (line,) = result.output.splitlines()
     assert line.startswith("config error: ") and ENV_RATE_LIMIT in line
+
+
+@pytest.mark.parametrize(
+    "code, why",
+    [("en", "is already the code of languages[0]"), ("7", "must be text"),
+     ("../../escape", "must be text")],
+    ids=["duplicate", "yaml-integer", "path"],
+)
+def test_unusable_language_code_is_config_error(project, code, why):
+    rewrite(project, "  - code: ru\n", f"  - code: {code}\n")
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("config error: languages[1].code ") and why in line
+    assert not (project.parent / "out").exists()

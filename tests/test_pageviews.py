@@ -7,8 +7,8 @@ from contextlib import closing
 import pytest
 
 from wikialumni import cli
-from wikialumni.alumni import AlumniRecord, write_dataset
-from wikialumni.config import load_config
+from wikialumni.alumni import AlumniRecord, read_dataset, write_dataset
+from wikialumni.config import ENV_RATE_LIMIT, load_config
 from wikialumni.errors import FetchError, WikiAlumniError
 from wikialumni.pageviews import (
     BACKOFF_BASE_S,
@@ -590,3 +590,44 @@ def test_warm_views_run_makes_no_backend_requests(tmp_path, monkeypatch):
     assert clients[0].backend.request_count > 0
     assert cli.run_views(config, echo=quiet) == 0
     assert clients[1].backend.request_count == 0
+
+
+class OnePayloadSession:
+    """Answers every request with HTTP 200 and the same JSON payload."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def get(self, url, params=None, timeout=None):
+        return FakeResponse(200, self.payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"items": None}, {"items": [{"x": 1}]}, {"items": [{"views": "12"}]}, {"query": []},
+     {"query": {"pages": ["x"]}}, None],
+    ids=["list", "null-items", "item-without-views", "text-views", "list-query", "text-page",
+         "null"],
+)
+def test_live_json_of_the_wrong_shape_leaves_the_record_unresolved(tmp_path, monkeypatch,
+                                                                    payload):
+    project = build_mini_project(tmp_path / "proj")
+    project.write_text(project.read_text().replace("mode: fixture", "mode: live"))
+    monkeypatch.setenv(ENV_RATE_LIMIT, "1000")
+    monkeypatch.setattr(LiveBackend, "session", OnePayloadSession(payload))
+    config = load_config(project)
+    config.output_dir.mkdir(parents=True)
+    write_dataset([rec("Человек", lang="ru")], config.output_dir / cli.DATASET_NAME)
+    lines = []
+    assert cli.run_views(config, echo=lambda line, **_: lines.append(line)) == 1
+    assert lines[0].startswith("views: 1 records enriched, 1 unresolved")
+    (out,) = read_dataset(config.output_dir / cli.ENRICHED_NAME)
+    assert out.views_total is None
+    # the failed lookup is not cached; an object with no "query" is a
+    # well-formed answer of no English page
+    cache = ViewCache(config.cache_dir)
+    no_english = isinstance(payload, dict) and "query" not in payload
+    enlink = cache.get(("live_api:all-agents", "enlink", "ru", "Человек", 0))
+    assert enlink == ("null" if no_english else None)
+    assert cache.get(("live_api:all-agents", "views", "ru", "Человек", 2017)) is None
+    cache.close()

@@ -7,7 +7,6 @@ from wikialumni.dump import WikiPage
 from wikialumni.persons import (
     BIRTH_YEAR_MIN,
     WORD_WINDOW,
-    PersonPage,
     detect_person,
     extract_birth_year,
     load_person_file,
@@ -17,7 +16,6 @@ from wikialumni.persons import (
 from wikialumni.registry import MarkerDictionary
 
 DICT = MarkerDictionary(
-    lang="en",
     person_markers=("births]]", "born", "Category:Living people"),
     trigger_words=("graduated",),
 )
@@ -193,26 +191,24 @@ def test_person_filename():
 
 def test_persist_and_load_roundtrip(tmp_path):
     p = page("He was born 1955. <&> special chars.", title="A <Person> & Co", page_id=42)
-    person = PersonPage(p, 1955)
-    path = persist_person(person, tmp_path)
+    path = persist_person(p, 1955, tmp_path)
     assert path.name == "page_42_1955.xml"
-    loaded = load_person_file(path, "en")
-    assert loaded.page.title == p.title
-    assert loaded.page.wikitext == p.wikitext
-    assert loaded.page.page_id == 42
-    assert loaded.birth_year == 1955
+    loaded, birth_year = load_person_file(path, "en")
+    assert loaded.title == p.title
+    assert loaded.wikitext == p.wikitext
+    assert loaded.page_id == 42
+    assert birth_year == 1955
 
 
 def test_persist_idempotent(tmp_path):
     p = page("born 1955.", page_id=3)
-    person = PersonPage(p, 1955)
-    first = persist_person(person, tmp_path).read_bytes()
-    second = persist_person(person, tmp_path).read_bytes()
+    first = persist_person(p, 1955, tmp_path).read_bytes()
+    second = persist_person(p, 1955, tmp_path).read_bytes()
     assert first == second
 
 
 def test_persist_empty_year(tmp_path):
     p = page("born sometime.", page_id=7)
-    path = persist_person(PersonPage(p, None), tmp_path)
+    path = persist_person(p, None, tmp_path)
     assert path.name == "page_7_.xml"
-    assert load_person_file(path, "en").birth_year is None
+    assert load_person_file(path, "en")[1] is None

@@ -232,25 +232,24 @@ def test_load_dictionary(tmp_path):
         tmp_path,
         "# comment\n[person_markers]\nborn\nbirths]]\n\n[trigger_words]\ngraduated  # inline\nalumni\n",
     )
-    d = load_dictionary(path, "en")
+    d = load_dictionary(path)
     assert d.person_markers == ("born", "births]]")
     assert d.trigger_words == ("graduated", "alumni")
-    assert d.lang == "en"
 
 
 def test_dictionary_requires_both_sections(tmp_path):
     path = dictionary_file(tmp_path, "[person_markers]\nborn\n")
     with pytest.raises(DictionaryError):
-        load_dictionary(path, "en")
+        load_dictionary(path)
 
 
 def test_dictionary_rejects_unknown_section(tmp_path):
     path = dictionary_file(tmp_path, "[mystery]\nfoo\n")
     with pytest.raises(DictionaryError, match="mystery"):
-        load_dictionary(path, "en")
+        load_dictionary(path)
 
 
 @pytest.mark.parametrize("lang", ["en", "ru"])
 def test_bundled_starter_dictionaries(lang):
-    d = load_dictionary(bundled_dictionary_path(lang), lang)
+    d = load_dictionary(bundled_dictionary_path(lang))
     assert d.person_markers and d.trigger_words

@@ -1,7 +1,7 @@
 """Guards on the package's structure: every TSV parse and artifact write
 goes through wikialumni.tsv, the view cache is one SQLite file written
-from one place, only the dump module reads XML, the CLI imports no heavy
-dependency, every name the benchmark's tracer patches exists, every
+from one place, only the dump module reads XML, the matcher imports
+neither the person files nor the CLI, the CLI imports no heavy dependency, every name the benchmark's tracer patches exists, every
 public name is read in src/, and every defaulted parameter is set by some
 call in src/ but not by all."""
 
@@ -142,6 +142,43 @@ def test_only_the_dump_module_reads_xml():
         if _xml_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert importers == ["dump"]
+
+
+def _package_imports(tree: ast.AST) -> list[str]:
+    """Each wikialumni module that tree imports, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            module = node.module or ""
+            if node.level == 1:
+                module = "wikialumni" + ("." + module if module else "")
+            modules, names = [module], [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module == "wikialumni":
+                found += names
+            elif module.startswith("wikialumni."):
+                found.append(module.split(".")[1])
+    return found
+
+
+def test_scan_finds_package_imports():
+    tree = ast.parse(
+        "import os, wikialumni.dump\nfrom . import tsv, errors\nfrom .registry import Registry\n"
+        "def f():\n    from wikialumni import cli\n    from wikialumni.persons import x\n"
+        "    import wikialumnix\n    from xml import dom\n"
+    )
+    assert _package_imports(tree) == ["dump", "tsv", "errors", "registry", "cli", "persons"]
+
+
+def test_alumni_imports_neither_persons_nor_cli():
+    """The matcher takes plain values, so an ingest worker can call it
+    without the person-file layer or the CLI."""
+    tree = ast.parse((PACKAGE / "alumni.py").read_text(encoding="utf-8"))
+    assert {"persons", "cli"} & set(_package_imports(tree)) == set()
 
 
 def test_cli_import_leaves_out_scipy():
