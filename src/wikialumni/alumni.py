@@ -3,18 +3,25 @@
 A sentence is everything up to a full stop, except that a '.' inside a
 wiki link ("[[St. Andrews]]") never splits.  A sentence containing a
 trigger word contributes one record per university link it holds.
-Extract searches each page once for trigger hits and splits out only the
-sentences that hold one; a phrase that contains '.' still matches only
-inside one sentence.  The search case-folds the page and each phrase's
-head (its part before the first '.'), finds each head with ``str.find``
-and keeps a hit only where the case-insensitive prefilter regex matches
-the page there.  A page or head whose fold changes its length (ß, İ,
-ligatures) is scanned with that regex instead.  The prefilter, the
-per-phrase patterns and the folded heads are compiled once per phrase
-tuple.
 
-The matcher takes a page and its birth year as plain values and imports
-nothing of the person files, so any stage can call it.
+Matching has two halves.  The text half, ``match_alumni``, needs only
+the page and the dictionary; ingest runs it on each person page and
+writes its (trigger, sentence, link) rows to ``candidates/<lang>.tsv``.
+The registry half, ``resolve_candidate``, turns one such row into a
+record when its link names a university; extract runs it on every row.
+
+The text half searches each page once for trigger hits and splits out
+only the sentences that hold one; a phrase that contains '.' still
+matches only inside one sentence.  The search case-folds the page and
+each phrase's head (its part before the first '.'), finds each head with
+``str.find`` and keeps a hit only where the case-insensitive prefilter
+regex matches the page there.  A page or head whose fold changes its
+length (ß, İ, ligatures) is scanned with that regex instead.  The
+prefilter, the per-phrase patterns and the folded heads are compiled
+once per phrase tuple.
+
+The matcher takes plain values and imports nothing of the person files
+or the CLI, so an ingest worker can call it.
 """
 
 from __future__ import annotations
@@ -26,13 +33,16 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dump import WikiPage
-from .registry import MarkerDictionary, Registry
+from .registry import MarkerDictionary, Registry, normalize_title
 from .tsv import read_tsv, write_tsv
 
 BASE_COLUMNS = ["university_id", "university_name", "person_link", "birth_year", "lang"]
 ENRICHED_COLUMNS = BASE_COLUMNS + ["person_link_en", "views_total"]
+# one row per (person page, trigger sentence, link), as ingest finds them
+CANDIDATE_COLUMNS = ["page_id", "title", "birth_year", "trigger", "sentence", "link"]
 
 _LINK = re.compile(r"\[\[(.+?)\]\]", re.DOTALL)
+_TAB_OR_LINE_BREAK = re.compile("[\t\r\n]")
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,8 @@ class Sentence:
 # A link with no brackets inside leaves the depth unchanged and hides its
 # full stops, so it is one token; the walk then gives the same splits.
 _SPLIT_TOKEN = re.compile(r"\[\[[^\[\]]*\]\]|\[\[|\]\]|\.")
+# a '[[' that opens no such link; a text without one has no depth to track
+_UNPAIRED_OPEN = re.compile(r"\[\[(?![^\[\]]*\]\])")
 
 
 def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> list[Sentence]:
@@ -71,9 +83,13 @@ def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> l
 
     Return only the sentences that hold one of the character offsets in
     ``containing`` (None: every offset); the walk stops after the
-    sentence of the last."""
+    sentence of the last.  A text in which every '[[' opens a link with
+    no brackets inside is not walked: each offset's sentence runs from
+    the splitting full stop before it to the one after it."""
     if containing is None:
         containing = range(len(wikitext))
+    elif not _UNPAIRED_OPEN.search(wikitext):
+        return _sentences(wikitext, _spans_between_stops(wikitext, containing))
     hits = sorted(h for h in set(containing) if 0 <= h < len(wikitext))
     if not hits:
         return []
@@ -107,6 +123,45 @@ def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> l
     return _sentences(wikitext, spans)
 
 
+def _spans_between_stops(wikitext: str, containing: Iterable[int]) -> list[tuple[int, int]]:
+    """The walk's spans for a text in which every '[[' opens a link with
+    no brackets inside.  A full stop then splits unless it lies inside
+    such a link, that is unless the last '[[' before it closes after it.
+    A sentence ends after the first splitting stop at or after its
+    offset, or at the end of the text, and starts after the splitting
+    stop before that offset."""
+    n = len(wikitext)
+    spans: list[tuple[int, int]] = []
+    start = 0  # every splitting stop before ``start`` is passed
+    for hit in sorted(h for h in set(containing) if 0 <= h < n):
+        if spans and hit < spans[-1][1]:
+            continue
+        stop = wikitext.rfind(".", start, hit)
+        while stop != -1:
+            opened = wikitext.rfind("[[", start, stop)
+            if opened == -1 or wikitext.find("]]", opened) < stop:
+                start = stop + 1
+                break
+            stop = wikitext.rfind(".", start, opened)
+        stop = wikitext.find(".", hit)
+        while stop != -1:
+            opened = wikitext.rfind("[[", start, stop)
+            if opened == -1:
+                break
+            closed = wikitext.find("]]", opened)
+            if closed < stop:
+                break
+            stop = wikitext.find(".", closed)
+        if stop == -1:
+            # the tail is a sentence unless it is blank and follows a stop
+            if start == 0 or wikitext[start:].strip():
+                spans.append((start, n))
+            break
+        spans.append((start, stop + 1))
+        start = stop + 1
+    return spans
+
+
 def _sentences(wikitext: str, spans: list[tuple[int, int]]) -> list[Sentence]:
     out = []
     for start, end in spans:
@@ -119,8 +174,11 @@ def _sentences(wikitext: str, spans: list[tuple[int, int]]) -> list[Sentence]:
 @lru_cache(maxsize=64)
 def _trigger_patterns(
     phrases: tuple[str, ...],
-) -> tuple[re.Pattern[str], tuple[tuple[str, re.Pattern[str]], ...], tuple[str, ...] | None]:
-    """A prefilter over all phrases, one pattern per phrase, and the
+) -> tuple[
+    re.Pattern[str], tuple[tuple[str, re.Pattern[str], str | None], ...], tuple[str, ...] | None
+]:
+    """A prefilter over all phrases; per phrase, its pattern and the
+    phrase folded (None if it folds to another length); and the
     prefilter's heads folded (None if a head is empty or folds to another
     length, since its hits would not line up with the text).
 
@@ -141,7 +199,9 @@ def _trigger_patterns(
         firsts = "".join(re.escape(c) for c in dict.fromkeys(head[0] for head in heads))
         prefilter = "(?=[" + firsts + "])" + prefilter
     each = tuple(
-        (phrase, re.compile(bounded(re.escape(phrase)), re.IGNORECASE)) for phrase in phrases
+        (phrase, re.compile(bounded(re.escape(phrase)), re.IGNORECASE),
+         _fold(phrase) if len(_fold(phrase)) == len(phrase) else None)
+        for phrase in phrases
     )
     folded = None
     if all(heads) and all(len(_fold(head)) == len(head) for head in heads):
@@ -183,43 +243,68 @@ def _trigger_hits(text: str, phrases: tuple[str, ...]) -> list[int]:
 
 
 def find_trigger(sentence: str, dictionary: MarkerDictionary) -> str | None:
-    """First trigger phrase (dictionary order) present at a word boundary."""
-    for phrase, pattern in _trigger_patterns(dictionary.trigger_words)[1]:
-        if pattern.search(sentence):
+    """First trigger phrase (dictionary order) present at a word boundary.
+
+    A phrase's pattern runs only if the folded sentence holds the folded
+    phrase, whenever both keep their length under ``_fold``: a match
+    then folds to the folded phrase, as in ``_trigger_hits``."""
+    folded = _fold(sentence)
+    if len(folded) != len(sentence):
+        folded = None
+    for phrase, pattern, needle in _trigger_patterns(dictionary.trigger_words)[1]:
+        if (folded is None or needle is None or needle in folded) and pattern.search(sentence):
             return phrase
     return None
 
 
-def match_alumni(
-    page: WikiPage, birth_year: int | None, registry: Registry, dictionary: MarkerDictionary
-) -> list[AlumniRecord]:
-    """Emit one record per (person, university) pair found in a
-    trigger-bearing sentence; duplicates across sentences are merged.
+def match_alumni(page: WikiPage, dictionary: MarkerDictionary) -> list[tuple[str, str, str]]:
+    """The text half of matching: (trigger, sentence, link) for each link
+    of each trigger-bearing sentence, in page order.  The sentence is
+    whitespace-normalized as the evidence file holds it, and the link is
+    normalized as the registry looks it up; a link that still holds a
+    tab or a line break is left out, since no registry title does.
 
     One search of the page finds the offsets where a trigger may start;
-    only the sentences holding one are split out and tested."""
+    only the sentences holding one are split out, and only those with a
+    link are tested."""
     hits = _trigger_hits(page.wikitext, dictionary.trigger_words)
     if not hits:
         return []
-    records: dict[int, AlumniRecord] = {}
+    found = []
     for sentence in split_sentences(page.wikitext, containing=hits):
+        if not sentence.links:
+            continue
         trigger = find_trigger(sentence.text, dictionary)
         if trigger is None:
             continue
+        text = " ".join(sentence.text.split())
         for target in sentence.links:
-            uid = registry.resolve_link(target, page.lang)
-            if uid is None or uid in records:
-                continue
-            records[uid] = AlumniRecord(
-                university_id=uid,
-                university_name=registry.name_of(uid),
-                person_link=page.title,
-                birth_year=birth_year,
-                lang=page.lang,
-                sentence=sentence.text.strip(),
-                trigger=trigger,
-            )
-    return list(records.values())
+            link = normalize_title(target)
+            if not _TAB_OR_LINE_BREAK.search(link):
+                found.append((trigger, text, link))
+    return found
+
+
+def resolve_candidate(fields: list[str], lang: str, registry: Registry) -> AlumniRecord | None:
+    """The registry half of matching: the record of one row of a
+    candidates file (CANDIDATE_COLUMNS), or None when its link names no
+    university.  A page id or birth year that is not an integer raises
+    ValueError, whether or not the link resolves."""
+    page_id, title, birth_year, trigger, sentence, link = fields
+    int(page_id)  # unused, but a damaged row must fail here with its line
+    year = int(birth_year) if birth_year else None
+    uid = registry.resolve_link(link, lang)
+    if uid is None:
+        return None
+    return AlumniRecord(
+        university_id=uid,
+        university_name=registry.name_of(uid),
+        person_link=title,
+        birth_year=year,
+        lang=lang,
+        sentence=sentence,
+        trigger=trigger,
+    )
 
 
 def merge_records(records: Iterable[AlumniRecord]) -> list[AlumniRecord]:

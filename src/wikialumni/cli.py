@@ -1,8 +1,15 @@
 """Pipeline orchestration: ingest, extract, views, report, audit.
 
 Each subcommand reads the same YAML config and leaves resumable file
-artifacts in the output directory.  Exit codes: 0 success, 1 partial
-(some records flagged or skipped), 2 configuration error.
+artifacts in the output directory.  Ingest streams the dumps once: it
+writes the person files, the redirect maps and, from the text half of
+matching, ``candidates/<lang>.tsv``, one row per (trigger sentence,
+link) of a person page.  Extract reads only those candidate rows and
+the redirect maps, and resolves each link through the registry.  The
+manifest keeps each language's input fingerprints, so a changed dump,
+dictionary or dump date makes ingest run again and extract refuse.
+Exit codes: 0 success, 1 partial (some records flagged or skipped) or a
+damaged artifact, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import fcntl
 import hashlib
 import json
 import os
+import shutil
 import signal
 import sys
 from contextlib import closing, contextmanager
@@ -26,7 +34,7 @@ from .config import (
 from .dump import WHOLE, DumpSource, Span, collect_redirects, shard_spans, stream_pages
 from .errors import ConfigError, WikiAlumniError
 from .registry import load_dictionary, load_registry
-from .tsv import read_tsv, write_text_atomic, write_tsv
+from .tsv import atomic_writer, read_tsv, tsv_line, write_text_atomic, write_tsv
 
 MANIFEST_NAME = "ingest_manifest.json"
 DATASET_NAME = "dataset.tsv"
@@ -84,54 +92,86 @@ def _load_manifest(config: PipelineConfig) -> dict | None:
     return manifest
 
 
-def _dictionary_sha256(lang: LanguageConfig) -> str:
-    """SHA-256 of the bytes of the language's dictionary file."""
-    return hashlib.sha256(lang.dictionary.read_bytes()).hexdigest()
+def _sha256(path: Path) -> str:
+    """SHA-256 of the bytes of a file."""
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 18)
+    view = memoryview(buffer)
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
-def _manifest_complete(manifest: dict | None, config: PipelineConfig) -> bool:
-    """Every language was ingested, with the configured dump date and
-    the dictionary file as it is now."""
+def _fingerprint(lang: LanguageConfig) -> dict[str, str]:
+    """The inputs that decide a language's ingest besides the config's
+    own values: the dump date, and the bytes of the dictionary and of the
+    dump."""
+    return {
+        "dump_date": lang.dump_date,
+        "dictionary_sha256": _sha256(lang.dictionary),
+        "dump_sha256": _sha256(lang.dump),
+    }
+
+
+def _manifest_complete(manifest: dict | None, fingerprints: dict[str, dict[str, str]]) -> bool:
+    """Every language was ingested from inputs with these fingerprints
+    (``_fingerprint``), taken of the files as they are now."""
     if manifest is None:
         return False
     langs = manifest["languages"]
     return all(
-        lang.code in langs
-        and langs[lang.code].get("status") == "ok"
-        and langs[lang.code].get("dump_date") == lang.dump_date
-        and langs[lang.code].get("dictionary_sha256") == _dictionary_sha256(lang)
-        for lang in config.languages
+        code in langs
+        and langs[code].get("status") == "ok"
+        and all(langs[code].get(key) == value for key, value in fingerprint.items())
+        for code, fingerprint in fingerprints.items()
     )
 
 
+def _candidates_path(out: Path, code: str) -> Path:
+    return out / "candidates" / f"{code}.tsv"
+
+
+def _spill_path(out: Path, code: str, span: Span) -> Path:
+    """Where the worker for one span of a language writes its candidate
+    rows; the span's start names it, so the spans of a language never
+    collide.  ``_ingest_languages`` removes every ``<code>.*.spill*``."""
+    return out / "candidates" / f"{code}.{span[0]}.spill"
+
+
 def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
-    """Stream every configured dump; persist person files and redirect
-    maps; write the resume manifest.
+    """Stream every configured dump; persist person files, candidate rows
+    and redirect maps; write the resume manifest.
 
     Each plain-XML dump is split into one shard per CPU in the affinity
     mask (``dump.shard_spans``), and each compressed dump is one shard.
     Every shard is ingested in its own forked worker, at most one per
     CPU at once, so memory stays bounded by the largest page in each
-    worker.  This process merges each language's shards in dump order,
-    resolves its redirects, writes ``redirects/<lang>.tsv``, echoes in
-    config order and writes the manifest, so every artifact equals that
-    of a one-CPU run.  If any shard of a language fails, the language is
-    ingested again unsplit, and that run's error is the one reported.
+    worker.  A worker streams the rows of the text half of matching
+    (``alumni.match_alumni``) into a spill file of its own.  This process
+    merges each language's shards in dump order: it joins their spill
+    files into ``candidates/<lang>.tsv``, resolves the redirects, writes
+    ``redirects/<lang>.tsv``, echoes in config order and writes the
+    manifest, so every artifact equals that of a one-CPU run.  If any
+    shard of a language fails, the language is ingested again unsplit,
+    and that run's error is the one reported.
     """
     out = config.output_dir
     manifest = _load_manifest(config)
-    if _manifest_complete(manifest, config) and all(
+    # taken before any worker reads the inputs: a file edited during the
+    # run no longer matches its digest, so the next ingest runs again
+    fingerprints = {lang.code: _fingerprint(lang) for lang in config.languages}
+    if _manifest_complete(manifest, fingerprints) and all(
         (out / "redirects" / f"{lang.code}.tsv").is_file()
+        and _candidates_path(out, lang.code).is_file()
         and (out / "persons" / lang.code).is_dir()
         for lang in config.languages
     ):
         echo("ingest: manifest complete, nothing to do")
         return 0
 
-    # hashed before any worker reads it: a dictionary edited during the
-    # run no longer matches its digest, so the next ingest runs again
-    digests = {lang.code: _dictionary_sha256(lang) for lang in config.languages}
     (out / "redirects").mkdir(parents=True, exist_ok=True)
+    (out / "candidates").mkdir(exist_ok=True)
     width = len(os.sched_getaffinity(0))
     spans = {lang.code: shard_spans(str(lang.dump), width) for lang in config.languages}
     shards = _ingest_languages(config, config.languages, spans)
@@ -145,7 +185,7 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
 
     languages: dict[str, dict] = {}
     for lang_cfg in config.languages:
-        entry = _merge_shards(lang_cfg, shards[lang_cfg.code], out, digests[lang_cfg.code])
+        entry = _merge_shards(lang_cfg, shards[lang_cfg.code], out, fingerprints[lang_cfg.code])
         languages[lang_cfg.code] = entry
         if entry["status"] == "ok":
             echo(f"ingest: {lang_cfg.code}: {entry['pages']} pages, {entry['persons']} persons")
@@ -164,11 +204,15 @@ def _ingest_languages(
     spans: dict[str, list[Span]],
 ) -> dict[str, list[dict]]:
     """Each language's shard results, in dump order, after removing the
-    person files that an earlier config or run left for it."""
+    person files and spill files that an earlier config or run left for
+    it."""
+    out = config.output_dir
     for lang_cfg in langs:
-        person_dir = config.output_dir / "persons" / lang_cfg.code
+        person_dir = out / "persons" / lang_cfg.code
         person_dir.mkdir(parents=True, exist_ok=True)
         for stale in persons.person_files(person_dir):
+            stale.unlink()
+        for stale in (out / "candidates").glob(f"{lang_cfg.code}.*.spill*"):
             stale.unlink()
     units = [(lang_cfg, span) for lang_cfg in langs for span in spans[lang_cfg.code]]
     shards: dict[str, list[dict]] = {lang_cfg.code: [] for lang_cfg in langs}
@@ -182,9 +226,11 @@ def _ingest_shard(
 ) -> dict:
     """Ingest one span of one language's dump: write its person files
     into persons/<lang>/ (their names are per page, so shards never
-    collide) and return its page and person counts and its redirect
-    (title, target) pairs in dump order, or its error."""
+    collide) and its candidate rows (alumni.CANDIDATE_COLUMNS) into its
+    spill file, and return the spill file, its page and person counts
+    and its redirect (title, target) pairs in dump order, or its error."""
     person_dir = out / "persons" / lang_cfg.code
+    spill = _spill_path(out, lang_cfg.code, span)
     # birth years are bounded by the dump, not by the wall clock
     year_bound = dump_year(lang_cfg) or analysis_year
     try:
@@ -192,32 +238,41 @@ def _ingest_shard(
         source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
         n_pages = n_persons = 0
         redirects = []
-        for page in stream_pages(source, span):
-            n_pages += 1
-            if page.is_redirect:
-                redirects.append((page.title, page.redirect_target))
-                continue
-            if page.namespace != 0:
-                continue
-            marker = persons.detect_person(page, dictionary)
-            if marker is None:
-                continue
-            year = persons.extract_birth_year(page, year_bound)
-            persons.persist_person(page, year, person_dir)
-            n_persons += 1
+        with atomic_writer(spill) as rows:
+            rows.write(tsv_line(alumni.CANDIDATE_COLUMNS))
+            for page in stream_pages(source, span):
+                n_pages += 1
+                if page.is_redirect:
+                    redirects.append((page.title, page.redirect_target))
+                    continue
+                if page.namespace != 0:
+                    continue
+                marker = persons.detect_person(page, dictionary)
+                if marker is None:
+                    continue
+                year = persons.extract_birth_year(page, year_bound)
+                persons.persist_person(page, year, person_dir)
+                n_persons += 1
+                person = (str(page.page_id), page.title, "" if year is None else str(year))
+                for candidate in alumni.match_alumni(page, dictionary):
+                    rows.write(tsv_line(person + candidate))
     except WikiAlumniError as exc:
         return {"error": str(exc)}
-    return {"pages": n_pages, "persons": n_persons, "redirects": redirects}
+    return {"pages": n_pages, "persons": n_persons, "redirects": redirects, "spill": str(spill)}
 
 
 def _merge_shards(
-    lang_cfg: LanguageConfig, shards: list[dict], out: Path, dictionary_sha256: str
+    lang_cfg: LanguageConfig, shards: list[dict], out: Path, fingerprint: dict[str, str]
 ) -> dict:
     """One language's manifest entry from its shard results; on success
-    also write redirects/<lang>.tsv."""
+    also write candidates/<lang>.tsv and redirects/<lang>.tsv."""
+    spills = [Path(shard["spill"]) for shard in shards if "spill" in shard]
     errors = [shard["error"] for shard in shards if "error" in shard]
     if errors:
+        for spill in spills:
+            spill.unlink()
         return {"status": "error", "error": errors[0]}
+    _join_spills(spills, _candidates_path(out, lang_cfg.code))
     # one list in dump order, so a title redirected twice keeps its last target
     resolved, unresolvable = collect_redirects(
         pair for shard in shards for pair in shard["redirects"]
@@ -229,9 +284,25 @@ def _merge_shards(
         "persons": sum(shard["persons"] for shard in shards),
         "redirects": len(resolved),
         "unresolvable_redirects": sorted(unresolvable),
-        "dump_date": lang_cfg.dump_date,
-        "dictionary_sha256": dictionary_sha256,
+        **fingerprint,
     }
+
+
+def _join_spills(spills: list[Path], path: Path) -> None:
+    """Replace path with the spill files' rows under one header, in
+    order, by streaming, and remove the spill files; one spill file is
+    renamed."""
+    if len(spills) == 1:
+        os.replace(spills[0], path)
+        return
+    with atomic_writer(path) as joined:
+        joined.write(tsv_line(alumni.CANDIDATE_COLUMNS))
+        for spill in spills:
+            with spill.open(encoding="utf-8") as rows:
+                rows.readline()  # its header
+                shutil.copyfileobj(rows, joined)
+    for spill in spills:
+        spill.unlink()
 
 
 def _ingest_in_workers(
@@ -319,40 +390,37 @@ def _load_redirect_maps(config: PipelineConfig) -> dict[str, dict[str, str]]:
 
 
 def run_extract(config: PipelineConfig, echo=click.echo) -> int:
-    """Match alumni sentences in every persisted person file and write
-    the dataset plus the audit evidence file."""
+    """Resolve every candidate row that ingest found through the registry
+    and write the dataset plus the audit evidence file."""
     out = config.output_dir
-    if not _manifest_complete(_load_manifest(config), config):
+    manifest = _load_manifest(config)
+    fingerprints = {lang.code: _fingerprint(lang) for lang in config.languages}
+    if not _manifest_complete(manifest, fingerprints):
         raise ConfigError(
             "no complete ingest manifest found; run 'wikialumni ingest' first"
         )
     registry = load_registry(config.universities_file, _load_redirect_maps(config))
     records: list[alumni.AlumniRecord] = []
-    n_corrupt = 0
     for lang_cfg in config.languages:
-        dictionary = load_dictionary(lang_cfg.dictionary)
-        for path in persons.person_files(out / "persons" / lang_cfg.code):
-            try:
-                page, birth_year = persons.load_person_file(path, lang_cfg.code)
-            except Exception as exc:
-                echo(f"extract: skipping corrupted {path.name}: {exc}", err=True)
-                n_corrupt += 1
-                continue
-            records.extend(alumni.match_alumni(page, birth_year, registry, dictionary))
+        found = read_tsv(
+            _candidates_path(out, lang_cfg.code), headers=[alumni.CANDIDATE_COLUMNS],
+            parse=lambda fields, lang=lang_cfg.code: alumni.resolve_candidate(
+                fields, lang, registry
+            ),
+        )[1]
+        records.extend(rec for rec in found if rec is not None)
+    # the first record per (university, person, language), in dump order
     records = alumni.merge_records(records)
     alumni.write_dataset(records, out / DATASET_NAME)
     _write_evidence(records, out / EVIDENCE_NAME)
-    echo(
-        f"extract: {len(records)} records"
-        + (f", {n_corrupt} corrupted person files skipped" if n_corrupt else "")
-    )
-    return 1 if n_corrupt else 0
+    echo(f"extract: {len(records)} records")
+    return 0
 
 
 def _write_evidence(records, path: Path) -> None:
     rows = [
         (str(rec.university_id), rec.university_name, rec.person_link, rec.lang, rec.trigger,
-         " ".join(rec.sentence.split()))
+         rec.sentence)
         for rec in alumni.sorted_records(records)
     ]
     write_tsv(path, EVIDENCE_COLUMNS, rows)
@@ -552,8 +620,10 @@ def _subcommand(name, step, help_text):
     return cmd
 
 
-_subcommand("ingest", run_ingest, "Stream dumps into person files and redirect maps.")
-_subcommand("extract", run_extract, "Match alumni sentences and write the dataset.")
+_subcommand(
+    "ingest", run_ingest, "Stream dumps into person files, candidate rows and redirect maps."
+)
+_subcommand("extract", run_extract, "Resolve candidate links and write the dataset.")
 _subcommand("views", run_views, "Attach pageview totals to records and universities.")
 _subcommand("report", run_report, "Emit stats, rankings, and correlation matrices.")
 _subcommand("audit", run_audit, "Export a seeded sample for manual review.")

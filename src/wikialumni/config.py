@@ -24,7 +24,9 @@ MODE_FIXTURE = "fixture"
 PAGEVIEW_API_FLOOR_YEAR = 2015
 
 # the shape of a Wikipedia language code; a code names persons/<code>/,
-# redirects/<code>.tsv and the host <code>.wikipedia.org
+# redirects/<code>.tsv, candidates/<code>.tsv and the host
+# <code>.wikipedia.org.  It holds no '.', so the spill files
+# candidates/<code>.<offset>.spill of one code never match another's.
 _LANG_CODE = re.compile(r"[a-z][a-z0-9-]*")
 
 

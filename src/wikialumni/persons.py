@@ -6,8 +6,10 @@ if it falls in a plausible range; out-of-range tokens are skipped and
 the scan continues.
 
 Ingest writes each person page to persons/<lang>/page_<id>_<year>.xml
-(the year empty when none was found); extract reads the page back and
-takes the birth year from the file's name.  ``person_filename`` names
+(the year empty when none was found).  No stage reads these files back:
+extract reads the candidate rows that ingest writes beside them, so they
+stay as an artifact for inspection.  ``load_person_file`` reads one back,
+taking the birth year from the file's name.  ``person_filename`` names
 one file and ``person_files`` lists them; no other module spells the
 name pattern.
 """
@@ -38,12 +40,21 @@ def detect_person(page: WikiPage, dictionary: MarkerDictionary) -> str | None:
 
 def extract_birth_year(page: WikiPage, current_year: int) -> int | None:
     """Scan the first WORD_WINDOW words for a four-digit year between
-    BIRTH_YEAR_MIN and current_year, the year of the dump."""
-    for word in page.wikitext.split(maxsplit=WORD_WINDOW)[:WORD_WINDOW]:
-        for match in _FOUR_DIGITS.finditer(word):
-            year = int(match.group())
-            if BIRTH_YEAR_MIN <= year <= current_year:
-                return year
+    BIRTH_YEAR_MIN and current_year, the year of the dump.
+
+    One scan of the whole text finds the same tokens as a scan of each
+    word, since whitespace is never a digit; the first year in range is
+    kept if fewer than WORD_WINDOW words come before the word it starts
+    in."""
+    text = page.wikitext
+    for match in _FOUR_DIGITS.finditer(text):
+        year = int(match.group())
+        if BIRTH_YEAR_MIN <= year <= current_year:
+            at = match.start()
+            before = len(text[:at].split())
+            if at and not text[at - 1].isspace():
+                before -= 1  # the word the year starts inside is its own
+            return year if before < WORD_WINDOW else None
     return None
 
 

@@ -3,30 +3,47 @@
 Every TSV the pipeline reads or writes follows the same conventions: an
 optional header row naming the columns, '#' comment lines for
 provenance, no quoting, one record per line, every line ending in '\\n'.
-Artifacts are written to a sibling '<name>.tmp' that is then renamed
-over the target, so a run killed mid-write leaves the previous file
-intact instead of a truncated one that the next stage would read.
+Artifacts are written, whole or as a stream (``atomic_writer``), to a
+sibling '<name>.tmp' that is then renamed over the target, so a run
+killed mid-write leaves the previous file intact instead of a truncated
+one that the next stage would read.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
-def write_text_atomic(path: str | Path, text: str) -> Path:
-    """Replace path with text in one rename; no fsync (kill safety, not
-    power-loss durability)."""
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """An open text file that becomes path: what is written goes to a
+    sibling '<name>.tmp', which is renamed over path on a clean exit and
+    removed on an error.  No fsync (kill safety, not power-loss
+    durability)."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return path
+
+
+def write_text_atomic(path: str | Path, text: str) -> Path:
+    """Replace path with text in one rename."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
+    return Path(path)
+
+
+def tsv_line(fields: Iterable[str]) -> str:
+    """One row as a line, with its line end."""
+    return "\t".join(fields) + "\n"
 
 
 def write_tsv(
@@ -39,11 +56,12 @@ def write_tsv(
 
     With no lines at all the file is empty (0 bytes).
     """
-    lines = list(comments)
-    if header:
-        lines.append("\t".join(header))
-    lines.extend("\t".join(row) for row in rows)
-    return write_text_atomic(path, "".join(line + "\n" for line in lines))
+    with atomic_writer(path) as fh:
+        fh.writelines(line + "\n" for line in comments)
+        if header:
+            fh.write(tsv_line(header))
+        fh.writelines(map(tsv_line, rows))
+    return Path(path)
 
 
 def read_tsv(

@@ -13,6 +13,7 @@ from wikialumni.alumni import (
     match_alumni,
     merge_records,
     read_dataset,
+    resolve_candidate,
     split_sentences,
     write_dataset,
 )
@@ -201,8 +202,19 @@ def person(text, title="Meghan Markle", year=1981):
     return page, year
 
 
+def match_records(page, birth_year, registry, dictionary):
+    """The two halves of matching composed as ingest and extract compose
+    them: the text half's rows, each resolved, the first record kept per
+    university."""
+    row = (str(page.page_id), page.title, "" if birth_year is None else str(birth_year))
+    records = (resolve_candidate(list(row + found), page.lang, registry)
+               for found in match_alumni(page, dictionary))
+    return merge_records(rec for rec in records if rec is not None)
+
+
 def test_markle_sentence(registry):
-    records = match_alumni(*person("She graduated from [[Northwestern University]]."), registry, DICT)
+    text = "She graduated from [[Northwestern University]]."
+    records = match_records(*person(text), registry, DICT)
     assert len(records) == 1
     rec = records[0]
     assert rec.university_name == "Northwestern University"
@@ -214,12 +226,12 @@ def test_markle_sentence(registry):
 
 def test_trigger_and_link_in_different_sentences(registry):
     text = "She graduated with honors. She loved [[Northwestern University]]."
-    assert match_alumni(*person(text), registry, DICT) == []
+    assert match_records(*person(text), registry, DICT) == []
 
 
 def test_two_universities_one_sentence(registry):
     text = "He received degree at [[Univ A]] and [[Univ B]]."
-    records = match_alumni(*person(text), registry, DICT)
+    records = match_records(*person(text), registry, DICT)
     assert sorted(r.university_name for r in records) == ["Univ A", "Univ B"]
 
 
@@ -237,32 +249,33 @@ def test_exhaustive_sentence_link_trigger_enumeration(registry):
             for target in ("Univ A", "Univ B", "Northwestern University"):
                 if f"[[{target}]]" in sent:
                     expected.add(target)
-    records = match_alumni(*person(text), registry, DICT)
+    records = match_records(*person(text), registry, DICT)
     assert {r.university_name for r in records} == expected == {"Univ A", "Univ B"}
 
 
 def test_trigger_case_insensitive(registry):
-    records = match_alumni(*person("She GRADUATED from [[Northwestern University]]."), registry, DICT)
+    text = "She GRADUATED from [[Northwestern University]]."
+    records = match_records(*person(text), registry, DICT)
     assert len(records) == 1
 
 
 def test_trigger_word_boundary(registry):
     # "undergraduated" must not fire the "graduated" trigger
-    records = match_alumni(*person("He undergraduated at [[Univ A]]."), registry, DICT)
+    records = match_records(*person("He undergraduated at [[Univ A]]."), registry, DICT)
     assert records == []
 
 
 def test_duplicate_sentences_merge(registry):
     text = "He graduated from [[Univ A]]. He also graduated from [[Univ A]]."
-    records = match_alumni(*person(text), registry, DICT)
+    records = match_records(*person(text), registry, DICT)
     assert len(records) == 1
 
 
 def test_trigger_removal_locality(registry):
     base = "He graduated from [[Univ A]]. He studied at [[Univ B]]."
     stripped = "He finished at [[Univ A]]. He studied at [[Univ B]]."
-    full = {r.university_name for r in match_alumni(*person(base), registry, DICT)}
-    partial = {r.university_name for r in match_alumni(*person(stripped), registry, DICT)}
+    full = {r.university_name for r in match_records(*person(base), registry, DICT)}
+    partial = {r.university_name for r in match_records(*person(stripped), registry, DICT)}
     assert full == {"Univ A", "Univ B"}
     assert partial == {"Univ B"}
 
@@ -271,8 +284,8 @@ def test_trigger_monotonicity(registry):
     text = "He trained at [[Univ A]]. He graduated from [[Univ B]]."
     small = MarkerDictionary(("born",), ("graduated",))
     big = MarkerDictionary(("born",), ("graduated", "trained at"))
-    n_small = len(match_alumni(*person(text), registry, small))
-    n_big = len(match_alumni(*person(text), registry, big))
+    n_small = len(match_records(*person(text), registry, small))
+    n_big = len(match_records(*person(text), registry, big))
     assert n_big >= n_small
     assert n_big == 2
 
@@ -315,7 +328,7 @@ def test_no_duplicate_triples_in_output(tmp_path):
 
 
 def per_sentence_match(page, birth_year, registry, dictionary):
-    """match_alumni as it was before the page-wide prefilter: every
+    """Matching as it was before the page-wide prefilter: every
     sentence split out and tested, with the per-character splitter and
     the per-phrase trigger loop above, kept as the oracle."""
     records = {}
@@ -333,7 +346,7 @@ def per_sentence_match(page, birth_year, registry, dictionary):
                 person_link=page.title,
                 birth_year=birth_year,
                 lang=page.lang,
-                sentence=sentence.text.strip(),
+                sentence=" ".join(sentence.text.split()),
                 trigger=trigger,
             )
     return list(records.values())
@@ -354,7 +367,7 @@ def dotted_registry(tmp_path_factory):
 # holding one takes the prefilter's regex scan; the Kelvin sign K, Σ ς and
 # ᲂ fold to one (k, σ, о) and keep the folded search.
 PHRASE_ALPHABET = list("ahipsİıſ. ßẞ\u212akΣςᲂﬁ")
-TEXT_PIECES = [".", " ", "[[", "]]", "|", "İ", "ı", "ſ", "a", "h", "i", "p", "s", "D", "x ",
+TEXT_PIECES = [".", " ", "[[", "]]", "[[x", "y]]", "|", "İ", "ı", "ſ", "a", "h", "i", "p", "s", "D", "x ",
                "[[Univ A]]", "[[St. Andrews]]", "[[Univ B|b.]]", "[[univ A|A]]", "[[Nowhere]]",
                "ß", "ẞ", "\u212a", "K", "Σ", "ς", "ᲂ", "о", "ﬁ"]
 
@@ -368,7 +381,7 @@ def test_match_alumni_equals_per_sentence_oracle(dotted_registry, data):
     text = "".join(data.draw(st.lists(pieces, max_size=30)))
     dictionary = MarkerDictionary(("born",), tuple(phrases))
     page, year = person(text)
-    assert match_alumni(page, year, dotted_registry, dictionary) == per_sentence_match(
+    assert match_records(page, year, dotted_registry, dictionary) == per_sentence_match(
         page, year, dotted_registry, dictionary
     )
 
@@ -441,7 +454,7 @@ def test_trigger_ending_in_full_stop(registry):
     # sentence's last '.' is the phrase's; in the whole text 'D' follows
     dictionary = MarkerDictionary(("born",), ("ph.",))
     text = "At [[Univ A]] he got a Ph.D. in 1990."
-    records = match_alumni(*person(text), registry, dictionary)
+    records = match_records(*person(text), registry, dictionary)
     assert [(r.university_name, r.sentence, r.trigger) for r in records] == [
         ("Univ A", "At [[Univ A]] he got a Ph.", "ph.")
     ]
@@ -457,7 +470,7 @@ def test_find_trigger_runs_only_on_trigger_sentences(registry, monkeypatch):
     sentences[1999] = "Then he received degree at [[Northwestern University]]."
     text = " ".join(sentences)
     assert len(split_sentences(text)) == 2000
-    records = match_alumni(*person(text), registry, DICT)
+    records = match_records(*person(text), registry, DICT)
     assert sorted(r.university_name for r in records) == [
         "Northwestern University", "Univ A", "Univ B"
     ]

@@ -12,7 +12,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from wikialumni import alumni, cli, pageviews
+from wikialumni import alumni, cli, pageviews, persons
 from wikialumni.cli import (
     DATASET_NAME,
     ENRICHED_NAME,
@@ -27,7 +27,7 @@ from wikialumni.cli import (
 )
 from wikialumni.config import load_config
 from wikialumni.dump import shard_spans
-from wikialumni.errors import ConfigError, FetchError, RegistryError
+from wikialumni.errors import ConfigError, FetchError, RegistryError, WikiAlumniError
 
 from conftest import child_env, make_dump_xml, page_xml
 from mini_corpus import (
@@ -114,33 +114,54 @@ def test_extract_dataset_rows(config):
     assert got == EXPECTED_DATASET
 
 
-def test_extract_skips_corrupted_person_file(config):
+@pytest.mark.parametrize("damage", ["columns", "page_id", "birth_year"])
+def test_damaged_candidate_row_is_one_error_line(project, config, damage):
     run_ingest(config, echo=quiet)
-    bad = config.output_dir / "persons" / "en" / "page_999_.xml"
-    bad.write_text("<page><broken", encoding="utf-8")
-    messages = []
-    assert run_extract(config, echo=lambda *a, **k: messages.append(a[0])) == 1
-    assert messages[0] == (
-        "extract: skipping corrupted page_999_.xml: malformed XML: unclosed token: line 1,"
-        " column 6"
+    path = config.output_dir / "candidates" / "en.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "\t".join(alumni.CANDIDATE_COLUMNS)
+    fields = lines[1].split("\t")
+    assert fields[:3] == ["10", "Alice Sample", "1950"]
+    if damage == "columns":
+        del fields[-1]
+    else:
+        fields[0 if damage == "page_id" else 2] = "19x0"
+    lines[1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["extract", "-c", str(project)])
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {path}:2: ")
+    assert not (config.output_dir / DATASET_NAME).exists()
+
+
+def test_candidate_rows_follow_dump_order(project):
+    """ingest writes each person page's trigger sentences with their
+    links, in dump order; when one title is on two pages of a language,
+    extract keeps the record of the first page in the dump (here page 20,
+    although the name page_10_... sorts before page_20_...)."""
+    twins = [
+        dict(title="Twin", page_id=20,
+             text="Twin was born 1960. He graduated from [[Harvard_University|H.]], [[Nowhere]]."),
+        dict(title="Twin", page_id=10,
+             text="Twin was born 1950. He studied at\t[[Harvard University]]."),
+    ]
+    (project.parent / "en.xml").write_text(make_dump_xml(twins), encoding="utf-8")
+    config = load_config(project)
+    assert run_ingest(config, echo=quiet) == 0
+    assert (config.output_dir / "candidates" / "en.tsv").read_text(encoding="utf-8") == (
+        "page_id\ttitle\tbirth_year\ttrigger\tsentence\tlink\n"
+        "20\tTwin\t1960\tgraduated\tHe graduated from [[Harvard_University|H.]], [[Nowhere]]."
+        "\tHarvard University\n"
+        "20\tTwin\t1960\tgraduated\tHe graduated from [[Harvard_University|H.]], [[Nowhere]]."
+        "\tNowhere\n"
+        "10\tTwin\t1950\tstudied at\tHe studied at [[Harvard University]].\tHarvard University\n"
     )
+    assert run_extract(config, echo=quiet) == 0
     records = alumni.read_dataset(config.output_dir / DATASET_NAME)
-    assert len(records) == len(EXPECTED_DATASET)
-
-
-def test_person_file_with_a_bad_id_is_skipped(config):
-    run_ingest(config, echo=quiet)
-    person = config.output_dir / "persons" / "en" / "page_10_1950.xml"
-    text = person.read_text(encoding="utf-8")
-    assert text.count("<id>10</id>") == 1
-    person.write_text(text.replace("<id>10</id>", "<id>x</id>"), encoding="utf-8")
-    messages = []
-    assert run_extract(config, echo=lambda *a, **k: messages.append(a[0])) == 1
-    (line,) = [m for m in messages if person.name in m]
-    assert line == f"extract: skipping corrupted {person.name}: page <id> is not an integer: 'x'"
-    records = alumni.read_dataset(config.output_dir / DATASET_NAME)
-    assert "Alice Sample" not in {r.person_link for r in records}
-    assert len(records) == len(EXPECTED_DATASET) - 1
+    assert [(r.person_link, r.birth_year, r.lang) for r in records if r.lang == "en"] == [
+        ("Twin", 1960, "en")
+    ]
 
 
 def test_views_enrichment(config):
@@ -410,7 +431,7 @@ def test_missing_configured_file_fails_at_load(project, config, name, key):
     assert not config.output_dir.exists()
 
 
-@pytest.mark.parametrize("damage", ["redirects/en.tsv", "persons/ru"])
+@pytest.mark.parametrize("damage", ["redirects/en.tsv", "candidates/ru.tsv"])
 def test_damaged_output_dir_is_one_error_line(project, config, damage):
     run_ingest(config, echo=quiet)
     path = config.output_dir / damage
@@ -425,7 +446,7 @@ def test_damaged_output_dir_is_one_error_line(project, config, damage):
     assert not (config.output_dir / DATASET_NAME).exists()
 
 
-@pytest.mark.parametrize("damage", ["redirects/en.tsv", "persons/ru"])
+@pytest.mark.parametrize("damage", ["redirects/en.tsv", "candidates/ru.tsv", "persons/ru"])
 def test_ingest_repairs_damaged_output_dir(project, config, damage):
     run_ingest(config, echo=quiet)
     path = config.output_dir / damage
@@ -548,6 +569,33 @@ def test_changed_dump_date_reingests(project):
     assert manifest["languages"]["en"]["dump_date"] == "2020-09-01"
 
 
+@pytest.mark.parametrize("edit", ["pages-cut", "same-size"])
+def test_changed_dump_reingests(config, edit):
+    assert run_ingest(config, echo=quiet) == 0
+    en = next(lang for lang in config.languages if lang.code == "en")
+    text = en.dump.read_text(encoding="utf-8")
+    if edit == "pages-cut":
+        text = re.sub(r"<page>.*?</page>\s*", "", text, flags=re.DOTALL)
+    else:
+        assert text.count("[[Harvard University]]") == 4
+        text = text.replace("[[Harvard University]]", "[[Harvard Universitx]]")
+    en.dump.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="no complete ingest manifest"):
+        run_extract(config, echo=quiet)
+    messages = []
+    assert run_ingest(config, echo=lambda *a, **k: messages.append(a[0])) == 0
+    assert not any("nothing to do" in m for m in messages)
+    assert run_extract(config, echo=quiet) == 0
+    records = alumni.read_dataset(config.output_dir / DATASET_NAME)
+    harvard_en = {r.person_link for r in records if r.university_id == 1 and r.lang == "en"}
+    if edit == "pages-cut":
+        assert messages[0] == "ingest: en: 0 pages, 0 persons"
+        assert list((config.output_dir / "persons" / "en").iterdir()) == []
+        assert {r.lang for r in records} == {"ru"}
+    else:
+        assert harvard_en == {"Bob Example"}  # his link is the redirect [[Harvard]]
+
+
 def test_changed_dictionary_reingests(config):
     assert run_ingest(config, echo=quiet) == 0
     person_dir = config.output_dir / "persons" / "en"
@@ -611,6 +659,33 @@ def test_dead_worker_is_one_error_line(project, config, monkeypatch, deadline, l
     assert not (config.output_dir / MANIFEST_NAME).exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_killed_ingest_leaves_nothing_behind(project, config, monkeypatch, deadline):
+    """A worker killed while it writes its spill file leaves a '.tmp'
+    behind; the next ingest removes it and writes what a clean run
+    writes."""
+    clean = load_config(build_mini_project(project.parent.parent / "clean"))
+    assert run_ingest(clean, echo=quiet) == 0
+    persist = persons.persist_person
+
+    def killed_at_second_person(page, year, out_dir):
+        if page.page_id == 11:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return persist(page, year, out_dir)
+
+    monkeypatch.setattr(persons, "persist_person", killed_at_second_person)
+    with pytest.raises(WikiAlumniError, match="killed by signal"):
+        run_ingest(config, echo=quiet)
+    assert "en.0.spill.tmp" in {p.name for p in (config.output_dir / "candidates").iterdir()}
+    monkeypatch.undo()
+    assert run_ingest(config, echo=quiet) == 0
+    candidates = config.output_dir / "candidates"
+    assert sorted(p.name for p in candidates.iterdir()) == ["en.tsv", "ru.tsv"]
+    for name in ("en.tsv", "ru.tsv"):
+        assert (candidates / name).read_bytes() == (
+            clean.output_dir / "candidates" / name
+        ).read_bytes()
 
 
 def test_failed_workers_print_whole_tracebacks(project, monkeypatch, deadline, capfd):

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wikialumni.dump import WikiPage
 from wikialumni.persons import (
@@ -174,6 +174,25 @@ def test_birth_year_matches_split_all_definition(pieces, window):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("wikialumni.persons.WORD_WINDOW", window)
         assert extract_birth_year(page(text), CURRENT_YEAR) == split_all_birth_year(text, window)
+
+
+# in range, out of range, glued to letters or digits, and in Arabic-Indic
+# and fullwidth digits, which \d and int() both accept
+YEAR_WORDS = ["1950", "0700", "x1950", "1950x", "19501", "195", "١٩٥٠", "１９５０",
+              "a١٩٥٠b", "٠٧٠٠", "12x1960"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    at=st.sampled_from([0, 1, WORD_WINDOW - 2, WORD_WINDOW - 1, WORD_WINDOW, WORD_WINDOW + 1]),
+    words=st.lists(st.sampled_from(YEAR_WORDS + ["w"]), min_size=1, max_size=5),
+    seps=st.lists(st.text(alphabet=WHITESPACE, min_size=1, max_size=2), min_size=1, max_size=3),
+    lead=st.text(alphabet=WHITESPACE, max_size=2),
+)
+def test_birth_year_matches_per_word_scan_near_the_window(at, words, seps, lead):
+    words = ["w"] * at + words
+    text = lead + "".join(word + seps[i % len(seps)] for i, word in enumerate(words))
+    assert extract_birth_year(page(text), CURRENT_YEAR) == split_all_birth_year(text)
 
 
 @given(st.integers(1000, 2018))

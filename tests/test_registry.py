@@ -31,6 +31,18 @@ def test_normalize_title(raw, expected):
     assert normalize_title(raw) == expected
 
 
+TITLE_CHARS = st.sampled_from(list("ab _|#\t\n\u3000\xa0ßŉǆﬁİı")) | st.characters()
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=TITLE_CHARS, max_size=12))
+def test_normalize_title_is_idempotent(raw):
+    # ingest stores links normalized and extract resolves them, which
+    # normalizes them again
+    once = normalize_title(raw)
+    assert normalize_title(once) == once
+
+
 def registry_file(tmp_path, rows):
     return write_universities_file(tmp_path / "universities.tsv", rows)
 

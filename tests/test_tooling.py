@@ -181,6 +181,41 @@ def test_alumni_imports_neither_persons_nor_cli():
     assert {"persons", "cli"} & set(_package_imports(tree)) == set()
 
 
+def _names_reached(tree: ast.Module, function: str) -> set[str]:
+    """Every name and attribute read by the module-level function, and by
+    each module-level function of the same tree that it reaches."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names: set[str] = set()
+    todo = [function]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name not in names:
+                names.add(name)
+                if name in functions:
+                    todo.append(name)
+    return names
+
+
+def test_scan_finds_names_reached():
+    tree = ast.parse(
+        "def f(x):\n    return g(x.a)\n"
+        "def g(y):\n    return mod.h(y)\n"
+        "def unused():\n    return z\n"
+    )
+    assert _names_reached(tree, "f") == {"g", "x", "a", "y", "mod", "h"}
+
+
+def test_extract_refers_to_nothing_in_persons():
+    """Extract reads the candidate rows that ingest wrote: no person
+    file, no dictionary."""
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    persons_tree = ast.parse((PACKAGE / "persons.py").read_text(encoding="utf-8"))
+    persons_api = set(_public_api(persons_tree)[0])
+    reached = _names_reached(cli_tree, "run_extract")
+    assert reached & ({"persons", "load_dictionary"} | persons_api) == set()
+
+
 def test_cli_import_leaves_out_scipy():
     heavy = (
         "scipy", "numpy", "multiprocessing", "concurrent.futures", "urllib.request", "http.client",
@@ -214,6 +249,8 @@ def test_every_traced_name_exists():
 # Public names that nothing in src/ reads, each kept for a reason.
 UNREAD_ALLOWED = {
     "bundled_dictionary_path": "locates the starter dictionaries shipped as package data",
+    "load_person_file": "perfbench/tracing.py patches it by name until ROADMAP item 1; "
+                        "item 3 then deletes it with the person files",
 }
 
 

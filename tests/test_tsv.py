@@ -8,7 +8,7 @@ from wikialumni.alumni import AlumniRecord, read_dataset, write_dataset
 from wikialumni.cli import EVIDENCE_NAME, run_audit
 from wikialumni.config import load_config
 from wikialumni.errors import RegistryError
-from wikialumni.tsv import read_tsv, write_tsv
+from wikialumni.tsv import atomic_writer, read_tsv, write_tsv
 
 from conftest import child_env
 from mini_corpus import build_mini_project
@@ -27,6 +27,20 @@ def test_header_only_is_one_line(tmp_path):
 def test_comments_come_before_header(tmp_path):
     path = write_tsv(tmp_path / "t.tsv", ["a", "b"], [("1", "x")], comments=["# k: v", "# z"])
     assert path.read_bytes() == b"# k: v\n# z\na\tb\n1\tx\n"
+
+
+def test_atomic_writer_renames_on_success_and_removes_on_error(tmp_path):
+    path = tmp_path / "t.tsv"
+    with atomic_writer(path) as fh:
+        fh.write("a\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv.tmp"]
+    assert path.read_text(encoding="utf-8") == "a\n"
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_writer(path) as fh:
+            fh.write("b\n")
+            raise RuntimeError("midway")
+    assert path.read_text(encoding="utf-8") == "a\n"
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_read_skips_blank_and_comment_lines(tmp_path):
