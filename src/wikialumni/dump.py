@@ -170,8 +170,9 @@ def parse_page(text: str, lang: str) -> WikiPage:
 def _read_page(elem: etree.Element, lang: str) -> WikiPage:
     """The page's own <title>, <ns>, first <id> and <redirect title>, and
     the <text> of its last <revision>, each matched by local name; a
-    missing <ns> is 0, a missing <id> is -1.  A DumpParseError names the
-    field but not the file or page."""
+    missing <ns> is 0, a missing <id> is -1.  A title holding a tab or a
+    line break, which MediaWiki forbids and a TSV row cannot carry, is a
+    DumpParseError.  A DumpParseError names the field but not the file."""
     children: dict[str, etree.Element] = {}
     for child in elem:
         tag = _localname(child.tag)
@@ -181,15 +182,28 @@ def _read_page(elem: etree.Element, lang: str) -> WikiPage:
     for child in children.get("revision", ()):
         if _localname(child.tag) == "text":
             fields["text"] = child.text or ""
+    title = _title(fields.get("title", ""), "title")
     redirect = children.get("redirect")
     return WikiPage(
-        title=fields.get("title", ""),
+        title=title,
         lang=lang,
         namespace=_integer(fields.get("ns") or "0", "ns"),
-        redirect_target=None if redirect is None else redirect.get("title", ""),
+        redirect_target=(
+            None if redirect is None
+            else _title(redirect.get("title", ""), "redirect title", page=title)
+        ),
         wikitext=fields.get("text", ""),
         page_id=_integer(fields.get("id", "-1"), "id"),
     )
+
+
+def _title(text: str, field: str, page: str | None = None) -> str:
+    """text, or if it holds a tab or a line break a DumpParseError that
+    names the field, the value and the page's title if given."""
+    if "\t" in text or "\n" in text or "\r" in text:
+        where = "" if page is None else f" on page {page!r}"
+        raise DumpParseError(f"page <{field}> holds a tab or line break: {text!r}{where}")
+    return text
 
 
 def _integer(text: str, field: str) -> int:

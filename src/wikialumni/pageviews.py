@@ -4,8 +4,14 @@ Two backends share one client interface: a live backend talking to the
 Wikimedia REST/action APIs (rate limited, retried) and a hermetic
 fixture backend reading local tab-separated files.  All lookups go
 through one SQLite cache keyed by backend, agent, kind, lang, title and
-year; with a warm cache a re-run issues zero backend requests.
+year; with a warm cache a re-run issues zero backend requests.  A
+fixture backend's key carries the SHA-256 of its files, so an edited
+fixture is read again, and it parses its tables only on its first
+request, so a warm run reads no fixture table.
 
+The cache is read in batches: enrich_records and university_views read
+the lookups of a block ahead, in one query per backend, kind, lang and
+year and READ_BATCH (500) titles, instead of one query per lookup.
 Fetched lookups are committed WRITE_BATCH (50) at a time, in one short
 transaction each, and the rest when the client is closed, which the
 views stage does also when it fails.  So a SIGKILLed run loses at most
@@ -14,12 +20,13 @@ the last 49 fetched lookups, which the next run fetches again.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import time
 import urllib.parse
 import weakref
-from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -42,6 +49,7 @@ BACKOFF_BASE_S = 1.0  # sleep before retry n (from 0) is BACKOFF_BASE_S * 2**n
 RETRY_AFTER_CAP_S = 60.0  # longest wait a 429's Retry-After header can ask for
 
 WRITE_BATCH = 50  # fetched lookups per cache transaction
+READ_BATCH = 500  # titles per cache query; records per enrich_records block
 
 
 class Backend(Protocol):
@@ -79,32 +87,48 @@ class FixtureBackend:
     views file rows: lang<TAB>title<TAB>year<TAB>total
     langlinks file rows: lang<TAB>title<TAB>english_title
     The langlinks path may be None (no English counterparts).
+
+    source is "fixture/" and a SHA-256 over both files' own SHA-256, so
+    the cache keeps the values of an edited fixture apart.  The tables are
+    parsed on the first request, so a run served by the cache reads
+    only the bytes it hashes.
     """
 
-    source = SOURCE_FIXTURE
     agent = ""  # fixture totals do not depend on an agent
 
     def __init__(self, views_file: str | Path, langlinks_file: str | Path | None):
         self.request_count = 0
-        self._views: dict[tuple[str, str, int], int] = {}
+        self._files = (views_file, langlinks_file)
+        self._views: dict[tuple[str, str, int], int] | None = None
         self._links: dict[tuple[str, str], str] = {}
-        rows = read_tsv(views_file, n_cols=4, parse=lambda f: (*f[:2], int(f[2]), int(f[3])))[1]
-        for lang, title, year, total in rows:
-            self._views[(lang, title, year)] = total
-        if langlinks_file is not None:
-            for lang, title, title_en in read_tsv(langlinks_file, n_cols=3)[1]:
-                self._links[(lang, title)] = title_en
+        digest = hashlib.sha256()
+        for path in self._files:
+            digest.update(b"" if path is None else hashlib.sha256(Path(path).read_bytes()).digest())
+        self.source = f"{SOURCE_FIXTURE}/{digest.hexdigest()}"
+
+    def _tables(self) -> tuple[dict[tuple[str, str, int], int], dict[tuple[str, str], str]]:
+        if self._views is None:
+            views_file, langlinks_file = self._files
+            rows = read_tsv(
+                views_file, n_cols=4, parse=lambda f: (*f[:2], int(f[2]), int(f[3]))
+            )[1]
+            if langlinks_file is not None:
+                for lang, title, title_en in read_tsv(langlinks_file, n_cols=3)[1]:
+                    self._links[(lang, title)] = title_en
+            self._views = {(lang, title, year): total for lang, title, year, total in rows}
+        return self._views, self._links
 
     def get_views(self, title: str, lang: str, year: int) -> tuple[int, bool]:
         self.request_count += 1
+        views = self._tables()[0]
         key = (lang, title, year)
-        if key in self._views:
-            return self._views[key], False
+        if key in views:
+            return views[key], False
         return 0, True
 
     def get_english_title(self, title: str, lang: str) -> str | None:
         self.request_count += 1
-        return self._links.get((lang, title))
+        return self._tables()[1].get((lang, title))
 
 
 class LiveBackend:
@@ -236,11 +260,14 @@ def _retry_after(value: str | None) -> float | None:
 
 class ViewCache:
     """Lookup results in one SQLite table, cache_dir/pageviews.sqlite (WAL).
-    Each put writes its rows in one short transaction: another ViewCache
-    on the same directory sees them at once, and a killed run keeps every
-    put it finished.  ViewClient puts its fetched lookups WRITE_BATCH (50)
-    at a time and the rest when it is closed, which the views stage does
-    also when it fails, so a SIGKILLed run loses at most the last 49."""
+    Reads come in batches: get_many takes the titles of one backend,
+    kind, lang and year, READ_BATCH (500) per query, and get is its
+    one-title case.  Each put writes its rows in one short transaction:
+    another ViewCache on the same directory sees them at once, and a
+    killed run keeps every put it finished.  ViewClient puts its fetched
+    lookups WRITE_BATCH (50) at a time and the rest when it is closed,
+    which the views stage does also when it fails, so a SIGKILLed run
+    loses at most the last 49."""
 
     def __init__(self, cache_dir: str | Path):
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
@@ -263,13 +290,30 @@ class ViewCache:
         # so a cache dropped without close() would hold its files until gc
         self._close = weakref.finalize(self, self._db.close)
 
+    def get_many(
+        self, backend: str, kind: str, lang: str, year: int, titles: Iterable[str]
+    ) -> dict[str, str]:
+        """The value under (backend, kind, lang, title, year) of each of
+        titles that has one, by title.  Fixed (backend, kind, lang, year)
+        with title IN (...) is a primary-key search; a row-value
+        IN (VALUES ...) would scan the table."""
+        titles = list(titles)
+        found: dict[str, str] = {}
+        for start in range(0, len(titles), READ_BATCH):
+            chunk = titles[start : start + READ_BATCH]
+            found.update(
+                self._db.execute(
+                    "SELECT title, value FROM lookups WHERE backend = ? AND kind = ?"
+                    f" AND lang = ? AND year = ? AND title IN ({','.join('?' * len(chunk))})",
+                    (backend, kind, lang, year, *chunk),
+                )
+            )
+        return found
+
     def get(self, key: tuple[str, str, str, str, int]) -> str | None:
         """The value under (backend, kind, lang, title, year), or None."""
-        row = self._db.execute(
-            "SELECT value FROM lookups WHERE (backend, kind, lang, title, year) = (?, ?, ?, ?, ?)",
-            key,
-        ).fetchone()
-        return None if row is None else row[0]
+        backend, kind, lang, title, year = key
+        return self.get_many(backend, kind, lang, year, (title,)).get(title)
 
     def put(self, rows: list[tuple[str, str, str, str, int, str]]) -> None:
         """Write (backend, kind, lang, title, year, value) rows in one
@@ -282,26 +326,40 @@ class ViewCache:
         self._close()
 
 
+_MISS = object()  # the value of a lookup the cache does not hold
+
+
 class ViewClient:
     """Backend + cache front door used by the pipeline.
 
-    Fetched values wait in a pending map, which every lookup checks
-    first, and are committed WRITE_BATCH (50) at a time in one short
-    transaction each; close() commits the rest, and the views stage
-    closes its client also when it fails.  So a SIGKILLed run loses at
-    most the last 49 fetched lookups.  No transaction stays open across a
-    backend call, which for the live API can take seconds while another
-    process shares cache_dir.
+    read_ahead reads a block of lookups from the cache in batched
+    queries (see ViewCache.get_many) and decodes each query's values in
+    one call; a lookup it read is served from that block, hit or miss,
+    and any other lookup reads its own row.  A miss in the block takes
+    the value fetched for it when that value is committed, so the
+    backend is asked once per distinct lookup.  Fetched values wait in a
+    pending map, which every lookup checks first, and are committed
+    WRITE_BATCH (50) at a time in one short transaction each; close()
+    commits the rest, and the views stage closes its client also when it
+    fails.  So a SIGKILLed run loses at most the last 49 fetched
+    lookups.  No transaction stays open across a backend call, which for
+    the live API can take seconds while another process shares
+    cache_dir.
     """
 
     def __init__(self, backend: Backend, cache: ViewCache):
         self.backend = backend
         self.cache = cache
-        self._pending: dict[tuple[str, str, str, str, int], str] = {}
+        self._pending: dict[tuple[str, str, str, str, int], object] = {}
+        # the last read_ahead block: key -> cached or fetched value, or _MISS
+        self._ahead: dict[tuple[str, str, str, str, int], object] = {}
 
     def _flush(self) -> None:
         if self._pending:
-            self.cache.put([(*key, text) for key, text in self._pending.items()])
+            self.cache.put([(*key, json.dumps(value)) for key, value in self._pending.items()])
+            for key, value in self._pending.items():
+                if key in self._ahead:  # read as a miss before it was fetched or committed
+                    self._ahead[key] = value
             self._pending.clear()
 
     def close(self) -> None:
@@ -311,18 +369,37 @@ class ViewClient:
         finally:
             self.cache.close()
 
+    def read_ahead(self, lookups: Iterable[tuple[str, str, str, int]]) -> None:
+        """Read the (kind, lang, title, year) lookups from the cache, one
+        query per kind, lang and year and READ_BATCH titles, in place of
+        the block the previous call read."""
+        backend = f"{self.backend.source}:{self.backend.agent}"
+        groups: dict[tuple[str, str, int], dict[str, None]] = {}  # titles in first-seen order
+        for kind, lang, title, year in lookups:
+            groups.setdefault((kind, lang, year), {})[title] = None
+        self._ahead = {}
+        for (kind, lang, year), titles in groups.items():
+            found = self.cache.get_many(backend, kind, lang, year, titles)
+            # each value is one JSON text, so the list of them is one JSON array
+            values = dict(zip(found, json.loads(f"[{','.join(found.values())}]")))
+            for title in titles:
+                self._ahead[(backend, kind, lang, title, year)] = values.get(title, _MISS)
+
     def _lookup(self, kind: str, lang: str, title: str, year: int, call):
         """The value cached for this backend if any, else call()'s, cached
         as JSON text so a cached None is a hit too.  Language links use
         year 0, since a NULL key column never matches."""
         key = (f"{self.backend.source}:{self.backend.agent}", kind, lang, title, year)
-        hit = self._pending.get(key)
-        if hit is None:
-            hit = self.cache.get(key)
-        if hit is not None:
-            return json.loads(hit)
+        value = self._pending.get(key, _MISS)
+        if value is _MISS:
+            value = self._ahead.get(key, _MISS)
+            if value is _MISS and key not in self._ahead:
+                text = self.cache.get(key)
+                value = _MISS if text is None else json.loads(text)
+        if value is not _MISS:
+            return value
         value = call()
-        self._pending[key] = json.dumps(value)
+        self._pending[key] = value
         if len(self._pending) >= WRITE_BATCH:
             self._flush()
         return value
@@ -349,20 +426,60 @@ def enrich_records(
     """Fill person_link_en and views_total (national + English counts).
 
     Records whose lookups fail outright are flagged unresolved with
-    views_total left empty; the pipeline continues.
+    views_total left empty; the pipeline continues.  Records go in
+    blocks of READ_BATCH: the block's language links are read ahead and
+    resolved first, then its views are read ahead and summed.
     """
-    out = []
-    for rec in records:
-        try:
-            title_en = rec.person_link_en
-            if rec.lang != "en" and title_en is None:
+    out: list[AlumniRecord] = []
+    records = iter(records)
+    while block := list(islice(records, READ_BATCH)):
+        out += _enrich_block(block, year, client)
+    return out
+
+
+def _enrich_block(block: list[AlumniRecord], year: int, client: ViewClient):
+    client.read_ahead(
+        ("enlink", rec.lang, rec.person_link, 0)
+        for rec in block
+        if rec.lang != "en" and rec.person_link_en is None
+    )
+    # per record: its English title and the other English page whose views
+    # add to its own, or None when the link lookup failed
+    links: list[tuple[str | None, str | None] | None] = []
+    for rec in block:
+        title_en = rec.person_link_en
+        if rec.lang != "en" and title_en is None:
+            try:
                 title_en = client.resolve_english(rec.person_link, rec.lang)
-            total = client.fetch_views(rec.person_link, rec.lang, year)
-            if rec.lang != "en" and title_en and title_en != rec.person_link:
-                total += client.fetch_views(title_en, "en", year)
-            out.append(replace(rec, person_link_en=title_en, views_total=total))
-        except FetchError:
-            out.append(replace(rec, unresolved=True, views_total=None))
+            except FetchError:
+                links.append(None)
+                continue
+        other = title_en if rec.lang != "en" and title_en and title_en != rec.person_link else None
+        links.append((title_en, other))
+    lookups = []
+    for rec, link in zip(block, links):
+        if link is not None:
+            lookups.append(("views", rec.lang, rec.person_link, year))
+            if link[1]:
+                lookups.append(("views", "en", link[1], year))
+    client.read_ahead(lookups)
+    out = []
+    for rec, link in zip(block, links):
+        title_en, total, unresolved = rec.person_link_en, None, True
+        if link is not None:
+            try:
+                own = client.fetch_views(rec.person_link, rec.lang, year)
+                total = own + (client.fetch_views(link[1], "en", year) if link[1] else 0)
+            except FetchError:
+                pass
+            else:
+                title_en, unresolved = link[0], rec.unresolved
+        out.append(
+            AlumniRecord(
+                rec.university_id, rec.university_name, rec.person_link, rec.birth_year,
+                rec.lang, title_en, total, unresolved, rec.sentence, rec.trigger,
+            )
+        )
     return out
 
 
@@ -371,9 +488,16 @@ def university_views(
 ) -> dict[int, int | None]:
     """Per university, the view sum over its canonical title in each
     language (aliases excluded); None for a university with a failed
-    lookup, and the pipeline continues."""
+    lookup, and the pipeline continues.  Every canonical title is read
+    ahead from the cache before the first lookup."""
+    universities = sorted(registry.universities.items())
+    client.read_ahead(
+        ("views", lang, title, year)
+        for _, uni in universities
+        for lang, title in uni.canonical_titles.items()
+    )
     totals: dict[int, int | None] = {}
-    for uid, uni in sorted(registry.universities.items()):
+    for uid, uni in universities:
         try:
             totals[uid] = sum(
                 client.fetch_views(title, lang, year)

@@ -521,6 +521,36 @@ def test_bad_page_number_fails_only_its_language(project, capfd, field, value):
     assert "Traceback" not in capfd.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("<title>Alice Sample</title>", "<title>Alice&#9;Sample</title>",
+         "page <title> holds a tab or line break: 'Alice\\tSample'"),
+        ("<title>Bob Example</title>", "<title>Bob&#10;Example</title>",
+         "page <title> holds a tab or line break: 'Bob\\nExample'"),
+        ('redirect title="Harvard University"', 'redirect title="Harvard&#13;University"',
+         "page <redirect title> holds a tab or line break: 'Harvard\\rUniversity'"
+         " on page 'Harvard'"),
+    ],
+    ids=["title-tab", "title-newline", "redirect-return"],
+)
+def test_title_with_a_tab_or_line_break_fails_only_its_language(project, old, new, message):
+    dump = project.parent / "en.xml"
+    text = dump.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    dump.write_text(text.replace(old, new), encoding="utf-8")
+    result = CliRunner().invoke(main, ["ingest", "-c", str(project)])
+    assert result.exit_code == 1
+    assert message in result.output
+    manifest = json.loads((load_config(project).output_dir / MANIFEST_NAME).read_text())
+    assert manifest["languages"]["ru"]["status"] == "ok"
+    assert manifest["languages"]["en"]["status"] == "error"
+    assert message in manifest["languages"]["en"]["error"]
+    result = CliRunner().invoke(main, ["extract", "-c", str(project)])
+    assert result.exit_code == 2
+    assert "no complete ingest manifest" in result.output
+
+
 def damaged(data: bytes, compress: str, damage: str) -> bytes:
     """data compressed, then cut at two thirds or corrupted: a gzip
     trailer zeroed, or eight bz2 bytes mid-stream inverted."""

@@ -12,6 +12,7 @@ from wikialumni.config import ENV_RATE_LIMIT, load_config
 from wikialumni.errors import FetchError, WikiAlumniError
 from wikialumni.pageviews import (
     BACKOFF_BASE_S,
+    READ_BATCH,
     RETRY_AFTER_CAP_S,
     WRITE_BATCH,
     FixtureBackend,
@@ -588,8 +589,15 @@ def test_warm_views_run_makes_no_backend_requests(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_view_client", capture)
     assert cli.run_views(config, echo=quiet) == 0
     assert clients[0].backend.request_count > 0
+    cold = (config.output_dir / cli.ENRICHED_NAME).read_bytes()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a warm run parsed a fixture table")
+
+    monkeypatch.setattr("wikialumni.pageviews.read_tsv", no_read)
     assert cli.run_views(config, echo=quiet) == 0
     assert clients[1].backend.request_count == 0
+    assert (config.output_dir / cli.ENRICHED_NAME).read_bytes() == cold
 
 
 class OnePayloadSession:
@@ -631,3 +639,170 @@ def test_live_json_of_the_wrong_shape_leaves_the_record_unresolved(tmp_path, mon
     assert enlink == ("null" if no_english else None)
     assert cache.get(("live_api:all-agents", "views", "ru", "Человек", 2017)) is None
     cache.close()
+
+
+@pytest.mark.parametrize("edited", ["views", "langlinks"])
+def test_edited_fixture_is_read_again_by_a_warm_cache(tmp_path, edited):
+    views = write_views_fixture(
+        tmp_path / "v.tsv", [("en", "A", 2017, 5), ("en", "Person", 2017, 100)]
+    )
+    links = write_langlinks_fixture(tmp_path / "l.tsv", [("ru", "Человек", "Person")])
+    cache_dir = tmp_path / "cache"
+
+    def lookups(backend):
+        with closing(ViewClient(backend, ViewCache(cache_dir))) as client:
+            return client.fetch_views("A", "en", 2017), client.resolve_english("Человек", "ru")
+
+    assert lookups(FixtureBackend(views, links)) == (5, "Person")
+    unchanged = FixtureBackend(views, links)
+    assert lookups(unchanged) == (5, "Person")
+    assert unchanged.request_count == 0
+    if edited == "views":
+        write_views_fixture(views, [("en", "A", 2017, 999), ("en", "Person", 2017, 100)])
+    else:
+        write_langlinks_fixture(links, [("ru", "Человек", "Human")])
+    fresh = FixtureBackend(views, links)
+    assert lookups(fresh) == ((999, "Person") if edited == "views" else (5, "Human"))
+    assert fresh.request_count == 2
+
+
+class RecordingBackend:
+    """Views of a title are its length (1000 times that in English); the
+    English page of a ru title is the title with " (en)" added.  Records
+    every request as (kind, lang, title); language links of titles in
+    link_errors raise FetchError."""
+
+    source = "recording"
+    agent = ""
+
+    def __init__(self, link_errors=()):
+        self.asked = []
+        self.link_errors = set(link_errors)
+
+    def get_views(self, title, lang, year):
+        self.asked.append(("views", lang, title))
+        return len(title) * (1000 if lang == "en" else 1), False
+
+    def get_english_title(self, title, lang):
+        self.asked.append(("enlink", lang, title))
+        if title in self.link_errors:
+            raise FetchError(f"{title} is down")
+        return f"{title} (en)"
+
+
+def two_language_records():
+    """Two READ_BATCH blocks.  The first: 200 en and 203 ru persons under
+    university 1, then 97 of the earliest again under university 2, each
+    many WRITE_BATCH commits after its first record.  It fetches 809
+    lookups, so the last 9 (views of ru persons 198 to 202) are still
+    uncommitted when the second block reads its views ahead.  The second:
+    50 new en persons, whose fetches commit those 9, then ru persons 199
+    to 202 again under university 2."""
+    en = [AlumniRecord(1, "One", f"Person {i:03d}", 1950, "en") for i in range(250)]
+    ru = [AlumniRecord(1, "One", f"Человек {i:03d}", 1950, "ru") for i in range(203)]
+
+    def again(recs):
+        return [AlumniRecord(2, "Two", r.person_link, r.birth_year, r.lang) for r in recs]
+
+    first = en[:200] + ru + again(en[:50] + ru[:47])
+    assert len(first) == READ_BATCH
+    return first + en[200:] + again(ru[199:])
+
+
+def wide_registry(tmp_path):
+    """600 universities with an en title, every third also with a ru one."""
+    rows = [(uid, f"U{uid}", "en", f"University {uid:03d}") for uid in range(1, 601)]
+    rows += [(uid, f"U{uid}", "ru", f"Университет {uid:03d}") for uid in range(1, 601, 3)]
+    return load_registry(write_universities_file(tmp_path / "u.tsv", rows))
+
+
+def expected_lookups(records, registry, link_errors=()):
+    wanted = set()
+    for r in records:
+        if r.lang == "en":
+            wanted.add(("views", "en", r.person_link))
+            continue
+        wanted.add(("enlink", r.lang, r.person_link))
+        if r.person_link not in link_errors:
+            wanted |= {("views", r.lang, r.person_link), ("views", "en", f"{r.person_link} (en)")}
+    for uni in registry.universities.values():
+        wanted |= {("views", lang, title) for lang, title in uni.canonical_titles.items()}
+    return wanted
+
+
+def views_of(r):
+    own = len(r.person_link) * (1000 if r.lang == "en" else 1)
+    return own if r.lang == "en" else own + len(f"{r.person_link} (en)") * 1000
+
+
+def test_read_ahead_asks_the_backend_once_per_distinct_lookup(tmp_path):
+    records = two_language_records()
+    registry = wide_registry(tmp_path)
+    wanted = expected_lookups(records, registry)
+    assert len(wanted) > 2 * WRITE_BATCH
+    assert len(records) > READ_BATCH
+    assert sum("en" in uni.canonical_titles for uni in registry.universities.values()) > READ_BATCH
+    for run in ("cold", "warm"):
+        backend = RecordingBackend()
+        with closing(ViewClient(backend, ViewCache(tmp_path / "cache"))) as client:
+            out = enrich_records(records, 2017, client)
+            totals = university_views(registry, 2017, client)
+        assert sorted(backend.asked) == ([] if run == "warm" else sorted(wanted))
+        assert [r.views_total for r in out] == [views_of(r) for r in records]
+        assert [r.person_link_en for r in out] == [
+            None if r.lang == "en" else f"{r.person_link} (en)" for r in records
+        ]
+        assert not any(r.unresolved for r in out)
+        assert totals == {
+            uid: sum(len(t) * (1000 if lang == "en" else 1)
+                     for lang, t in uni.canonical_titles.items())
+            for uid, uni in registry.universities.items()
+        }
+
+
+def test_failed_english_link_asks_for_no_views(tmp_path):
+    records = two_language_records()
+    registry = wide_registry(tmp_path)
+    failing = {f"Человек {i:03d}" for i in range(51, 199, 2)}  # under university 1 only
+    backend = RecordingBackend(link_errors=failing)
+    with closing(ViewClient(backend, ViewCache(tmp_path / "cache"))) as client:
+        out = enrich_records(records, 2017, client)
+        university_views(registry, 2017, client)
+    assert sorted(backend.asked) == sorted(expected_lookups(records, registry, failing))
+    for r, enriched in zip(records, out):
+        down = r.person_link in failing
+        assert enriched.unresolved == down
+        assert enriched.views_total == (None if down else views_of(r))
+        assert enriched.person_link_en == (None if down or r.lang == "en" else f"{r.person_link} (en)")
+
+
+def test_warm_views_run_reads_the_cache_in_batched_queries(tmp_path, monkeypatch):
+    config = load_config(build_mini_project(tmp_path / "proj"))
+    quiet = lambda *a, **k: None  # noqa: E731
+    assert cli.run_ingest(config, echo=quiet) == 0
+    assert cli.run_extract(config, echo=quiet) == 0
+    assert cli.run_views(config, echo=quiet) == 0
+    statements = []
+    build = cli.build_view_client
+
+    def traced(cfg):
+        client = build(cfg)
+        client.cache._db.set_trace_callback(statements.append)
+        return client
+
+    monkeypatch.setattr(cli, "build_view_client", traced)
+    assert cli.run_views(config, echo=quiet) == 0
+    selects = [s for s in statements if s.lstrip().upper().startswith("SELECT")]
+    # one query per (kind, lang, year) group and READ_BATCH titles, read
+    # once for the records and once for the universities' own pages
+    records = read_dataset(config.output_dir / cli.DATASET_NAME)
+    enriched = read_dataset(config.output_dir / cli.ENRICHED_NAME)
+    record_groups = {("views", r.lang) for r in records}
+    record_groups |= {("enlink", r.lang) for r in records if r.lang != "en"}
+    record_groups |= {("views", "en") for r in enriched if r.person_link_en}
+    registry = load_registry(config.universities_file)
+    university_groups = {
+        lang for uni in registry.universities.values() for lang in uni.canonical_titles
+    }
+    assert len(records) < READ_BATCH and len(registry.universities) < READ_BATCH
+    assert 0 < len(selects) <= len(record_groups) + len(university_groups)
