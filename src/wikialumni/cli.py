@@ -7,7 +7,8 @@ matching, ``candidates/<lang>.tsv``, one row per (trigger sentence,
 link) of a person page.  Extract reads only those candidate rows and
 the redirect maps, and resolves each link through the registry.  The
 manifest keeps each language's input fingerprints, so a changed dump,
-dictionary or dump date makes ingest run again and extract refuse.
+dictionary, dump date or birth-year bound makes ingest run again and
+extract refuse.
 Exit codes: 0 success, 1 partial (some records flagged or skipped) or a
 damaged artifact, 2 configuration error.
 """
@@ -103,18 +104,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _fingerprint(lang: LanguageConfig) -> dict[str, str]:
-    """The inputs that decide a language's ingest besides the config's
-    own values: the dump date, and the bytes of the dictionary and of the
-    dump."""
+def _year_bound(lang: LanguageConfig, analysis_year: int) -> int:
+    """The latest birth year that ingest reads in lang: the year of its
+    dump, or analysis_year when it has no dump date."""
+    return dump_year(lang) or analysis_year
+
+
+def _fingerprint(lang: LanguageConfig, analysis_year: int) -> dict[str, str | int]:
+    """The inputs that decide a language's ingest: the dump date, the
+    birth-year bound, and the bytes of the dictionary and of the dump."""
     return {
         "dump_date": lang.dump_date,
+        "birth_year_bound": _year_bound(lang, analysis_year),
         "dictionary_sha256": _sha256(lang.dictionary),
         "dump_sha256": _sha256(lang.dump),
     }
 
 
-def _manifest_complete(manifest: dict | None, fingerprints: dict[str, dict[str, str]]) -> bool:
+def _manifest_complete(manifest: dict | None, fingerprints: dict[str, dict]) -> bool:
     """Every language was ingested from inputs with these fingerprints
     (``_fingerprint``), taken of the files as they are now."""
     if manifest is None:
@@ -160,7 +167,9 @@ def run_ingest(config: PipelineConfig, echo=click.echo) -> int:
     manifest = _load_manifest(config)
     # taken before any worker reads the inputs: a file edited during the
     # run no longer matches its digest, so the next ingest runs again
-    fingerprints = {lang.code: _fingerprint(lang) for lang in config.languages}
+    fingerprints = {
+        lang.code: _fingerprint(lang, config.analysis_year) for lang in config.languages
+    }
     if _manifest_complete(manifest, fingerprints) and all(
         (out / "redirects" / f"{lang.code}.tsv").is_file()
         and _candidates_path(out, lang.code).is_file()
@@ -232,7 +241,7 @@ def _ingest_shard(
     person_dir = out / "persons" / lang_cfg.code
     spill = _spill_path(out, lang_cfg.code, span)
     # birth years are bounded by the dump, not by the wall clock
-    year_bound = dump_year(lang_cfg) or analysis_year
+    year_bound = _year_bound(lang_cfg, analysis_year)
     try:
         dictionary = load_dictionary(lang_cfg.dictionary)
         source = DumpSource(path=str(lang_cfg.dump), lang=lang_cfg.code)
@@ -262,7 +271,7 @@ def _ingest_shard(
 
 
 def _merge_shards(
-    lang_cfg: LanguageConfig, shards: list[dict], out: Path, fingerprint: dict[str, str]
+    lang_cfg: LanguageConfig, shards: list[dict], out: Path, fingerprint: dict
 ) -> dict:
     """One language's manifest entry from its shard results; on success
     also write candidates/<lang>.tsv and redirects/<lang>.tsv."""
@@ -394,7 +403,9 @@ def run_extract(config: PipelineConfig, echo=click.echo) -> int:
     and write the dataset plus the audit evidence file."""
     out = config.output_dir
     manifest = _load_manifest(config)
-    fingerprints = {lang.code: _fingerprint(lang) for lang in config.languages}
+    fingerprints = {
+        lang.code: _fingerprint(lang, config.analysis_year) for lang in config.languages
+    }
     if not _manifest_complete(manifest, fingerprints):
         raise ConfigError(
             "no complete ingest manifest found; run 'wikialumni ingest' first"

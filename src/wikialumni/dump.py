@@ -8,21 +8,34 @@ process, at most one per CPU in the affinity mask, and the bound holds
 per shard worker.  Plain XML, gzip and bz2 inputs are auto-detected
 from magic bytes; a compressed dump is always read whole.
 
-One decoder reads a finished ``<page>`` element, both for dumps and for
-the per-person files that ingest writes (``parse_page``), so they share
-one set of field rules and one set of errors; a dump's error adds its
-path and last complete page, and a person file's caller names the file.
+Pages are read straight from their bytes.  Each ``<page>…</page>`` that
+a strict grammar of the export schema accepts is decoded by one regex
+match, and only the five predefined entities and character references
+are unescaped.  All other bytes -- a prefix with a DOCTYPE or another
+encoding, a page of another shape, a comment or junk between pages --
+go to one expat pull parser per stream, which has been fed the dump's
+prefix (the bytes before its first ``<page>``).  So every dump gives the
+pages and the error class that expat gives for the whole document.
+
+One set of field rules (``_page``) builds every page, whether the
+grammar decoded it, the parser did, or it is a per-person file that
+ingest writes (``parse_page``), so they share one set of errors; a
+dump's error adds its path and last complete page, and a person file's
+caller names the file.
 """
 
 from __future__ import annotations
 
 import bz2
+import codecs
+import functools
 import gzip
 import os
+import re
 import xml.etree.ElementTree as etree
 import zlib
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Generator, Iterable, Iterator
 
 from .errors import DumpFormatError, DumpParseError, DumpTruncatedError
 
@@ -36,7 +49,13 @@ MAX_REDIRECT_HOPS = 16  # longer chains count as unresolvable
 Span = tuple[int, int | None]  # (start, end) byte offsets; end None is end of file
 WHOLE: Span = (0, None)
 _PAGE_TAG = b"<page>"
-_SCAN_SIZE = 64 * 1024  # bytes read at a time while looking for a cut
+_PAGE_END = b"</page>"
+_XML_SPACE = b" \t\r\n"
+# bytes read at a time, to find a cut or to stream pages; iterparse's
+# size, small enough that a gzip read which hits a damaged end loses
+# only the pages of that read
+_SCAN_SIZE = 16 * 1024
+_PREFIX_MAX = 1 << 20  # a dump whose first <page> lies further in is parsed by expat alone
 
 
 @dataclass(frozen=True)
@@ -89,6 +108,70 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+# -- the export grammar of one page.  Its character data is any run
+# without "<"; _plain_bytes checks XML's other rules on the whole page,
+# so a page is matched, or rejected, in linear time.
+_S = r"[ \t\r\n]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.-]*"
+_TEXT = r"[^<]*"
+# XML reads a tab or a line break in an attribute value as a space; with
+# no ">" in a value, the duplicate check stays inside its tag
+_VALUE = r"\"[^\"<>\t\n]*\"|'[^'<>\t\n]*'"
+
+
+def _attributes(group: str) -> str:
+    """Up to four attributes of one start tag, unprefixed or ``xml:``,
+    none a namespace declaration and none named twice; the group names
+    each in turn."""
+    return (
+        rf"(?:[ \t\r\n]+(?P<{group}>(?!xmlns)(?:xml:)?{_NAME})"
+        rf"(?![^>]*[ \t\r\n](?P={group})[ \t\r\n]*=){_S}={_S}(?:{_VALUE})){{0,4}}"
+    )
+
+
+# a child of <revision> but <text>, of character data or of elements of
+# character data (<contributor>)
+_CHILD = (
+    rf"<(?P<child>(?!text[ \t\r\n/>]){_NAME}){_attributes('c')}{_S}(?:/>|>(?:{_TEXT}"
+    rf"|(?:{_S}<(?P<field>{_NAME}){_S}>{_TEXT}</(?P=field){_S}>)+{_S})</(?P=child){_S}>)"
+)
+
+
+@functools.cache
+def _page_grammar() -> re.Pattern[str]:
+    """The grammar of one page, compiled on first use, so that a stage
+    that reads no dump does not pay for it at import."""
+    return re.compile(
+        rf"<page>{_S}<title>(?P<title>{_TEXT})</title>{_S}<ns>(?P<ns>-?[0-9]+)</ns>"
+        rf"{_S}<id>(?P<id>[0-9]+)</id>"
+        rf"(?:{_S}<redirect[ \t\r\n]+title{_S}={_S}(?P<redirect>{_VALUE}){_S}/>)?"
+        rf"(?:{_S}(?P<revision><revision>(?:{_S}(?:{_CHILD}"
+        rf"|<text{_attributes('t')}{_S}(?:/>|>(?P<text>{_TEXT})</text{_S}>)))*"
+        rf"{_S}</revision>))+{_S}</page>"
+    )
+
+
+# the C0 controls but tab and LF; a CR is one, as XML reads it as a LF
+_CONTROLS = bytes(range(0x20)).replace(b"\t", b"").replace(b"\n", b"")
+_NAMED_REFS = (b"&amp;", b"&lt;", b"&gt;", b"&quot;", b"&apos;")
+_NUMERIC_REF = re.compile(rb"&#([0-9]+|x[0-9a-fA-F]+);")
+_CHAR_REF = re.compile(r"&(?:amp|#([0-9]+)|#x([0-9a-fA-F]+));")
+
+# Markup that ends where expat stands between tokens: runs of character
+# data, each closed by a whole tag, comment, processing instruction or
+# CDATA section, then whitespace.  After bytes that match it, the next
+# page may be read from its bytes.
+_MARKUP = re.compile(
+    rb"(?:[^<]*(?:"
+    rb"</?[^\x00-\x20<>/!?\"'=&]+(?:[ \t\r\n]+[^\x00-\x20<>/!?\"'=&]+[ \t\r\n]*=[ \t\r\n]*"
+    rb"(?:\"[^\"<]*\"|'[^'<]*'))*[ \t\r\n]*/?>"
+    rb"|<!--.*?-->|<\?.*?\?>|<!\[CDATA\[.*?\]\]>"
+    rb"))*[ \t\r\n]*",
+    re.DOTALL,
+)
+_ENCODING = re.compile(rb"<\?xml[ \t\r\n][^>]*?encoding[ \t\r\n]*=[ \t\r\n]*[\"']([^\"']*)")
+
+
 def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
     """Yield every page of the dump exactly once, in dump order.
 
@@ -97,63 +180,232 @@ def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
     DumpTruncatedError when the XML or the compressed stream ends early;
     pages parsed before the failure are yielded first.
 
+    The dump is read 16 KiB at a time, and only its unconsumed bytes are
+    kept.  A page that the export grammar accepts is decoded from its
+    bytes; all else goes to an expat pull parser fed the dump's prefix
+    first, so the pages and the error class are those of expat on the
+    whole document (its line and column count only the bytes it saw).
+
     With a span (start, end) from ``shard_spans`` other than WHOLE, only
     the pages in bytes [start, end) of a plain-XML dump are yielded (end
-    None: to the end of the file).  The bytes before the dump's first
-    ``<page>`` are parsed first, and a span that ends before the file
-    does must end between pages; otherwise the shard fails with one of
-    the two errors, and only a whole-dump read says what is wrong.
+    None: to the end of the file).  The parser is fed the dump's prefix
+    first, and a span that ends before the file does must end between
+    pages, where the root's end tag is fed; otherwise the shard fails
+    with one of the two errors, and only a whole-dump read says what is
+    wrong.
     """
-    stream = _open_dump(source.path) if span == WHOLE else _ShardReader(source.path, span)
-    try:
-        yield from _iter_pages(stream, source)
-    finally:
-        stream.close()
+    start, end = span
+    with _open_dump(source.path) if span == WHOLE else open(source.path, "rb") as stream:
+        head = b""
+        if start:
+            first = _find_page_tag(stream, 0)
+            if first is None:
+                raise DumpParseError(f"{source.path}: no <page> to start shard {span} at")
+            stream.seek(0)
+            head = stream.read(first)
+            stream.seek(start)
+        yield from _PageStream(stream, source, head, None if end is None else end - start)
 
 
-def _iter_pages(stream: IO[bytes], source: DumpSource) -> Iterator[WikiPage]:
-    last_title: str | None = None
-    root = None  # the <mediawiki> element; every finished page is cleared out of it
-    parser = etree.iterparse(stream, events=("start", "end"))
-    while True:
+class _PageStream:
+    """The pages of one stream.  The buffer holds the bytes read but not
+    yet consumed, after head (a shard's copy of the dump's prefix).  A
+    page the grammar accepts is decoded from it; all other bytes are fed
+    to the parser in dump order."""
+
+    def __init__(self, stream: IO[bytes], source: DumpSource, head: bytes, size: int | None):
+        self.stream = stream
+        self.source = source
+        self.buf = bytearray(head)
+        self.left = size  # bytes of the stream still to read; None: all of them
+        self.parser = etree.XMLPullParser(events=("start", "end"))
+        self.root: etree.Element | None = None  # every finished page is cleared out of it
+        self.depth = 0  # elements the parser has open
+        self.last_title: str | None = None
+
+    def __iter__(self) -> Iterator[WikiPage]:
+        path = self.source.path
         try:
-            event, elem = next(parser)
-        except StopIteration:
-            return
+            yield from self._pages()
         except etree.ParseError as exc:
             if "no element found" in str(exc) or "unclosed token" in str(exc):
                 raise DumpTruncatedError(
-                    f"{source.path}: dump truncated at byte {stream.tell()}"
-                    f" (last complete page: {last_title!r})"
+                    f"{path}: dump truncated at byte {self.stream.tell()}"
+                    f" (last complete page: {self.last_title!r})"
                 ) from exc
             raise DumpParseError(
-                f"{source.path}: malformed XML at byte {stream.tell()}: {exc}"
-                f" (last complete page: {last_title!r})"
+                f"{path}: malformed XML at byte {self.stream.tell()}: {exc}"
+                f" (last complete page: {self.last_title!r})"
             ) from exc
         # a gzip or bz2 stream that is cut short or damaged
         except EOFError as exc:
             raise DumpTruncatedError(
-                f"{source.path}: compressed dump truncated: {exc}"
-                f" (last complete page: {last_title!r})"
+                f"{path}: compressed dump truncated: {exc}"
+                f" (last complete page: {self.last_title!r})"
             ) from exc
         except (OSError, zlib.error) as exc:
             raise DumpParseError(
-                f"{source.path}: corrupt compressed dump: {exc}"
-                f" (last complete page: {last_title!r})"
+                f"{path}: corrupt compressed dump: {exc}"
+                f" (last complete page: {self.last_title!r})"
             ) from exc
+        except DumpParseError as exc:
+            raise DumpParseError(
+                f"{path}: {exc} (last complete page: {self.last_title!r})"
+            ) from None
 
-        if root is None:
-            root = elem
-        elif event == "end" and _localname(elem.tag) == "page":
-            try:
-                page = _read_page(elem, source.lang)
-            except DumpParseError as exc:
-                raise DumpParseError(
-                    f"{source.path}: {exc} (last complete page: {last_title!r})"
-                ) from None
-            last_title = page.title
-            yield page
-            root.clear()
+    def _pages(self) -> Iterator[WikiPage]:
+        buf = self.buf
+        while (at := buf.find(_PAGE_TAG)) < 0 and len(buf) < _PREFIX_MAX and self._read():
+            pass
+        # a DOCTYPE's entities and defaults, or another encoding, would change pages
+        prefix = buf[:max(at, 0)].removeprefix(codecs.BOM_UTF8)
+        declared = _ENCODING.match(prefix)
+        fast = (
+            at >= 0 and b"<!DOCTYPE" not in prefix
+            and (declared is None or declared[1].lower() == b"utf-8")
+            and (yield from self._parse(at))
+        )
+        while fast:
+            at = buf.find(_PAGE_TAG)
+            if at < 0:
+                keep = max(0, len(buf) - len(_PAGE_TAG) + 1)  # a tag's head
+                if buf[:keep].strip(_XML_SPACE) or not self._read():
+                    break
+                del buf[:keep]
+                continue
+            if not buf[:at].strip(_XML_SPACE):
+                del buf[:at]
+            elif not (yield from self._parse(at)):
+                break
+            end = self._find(_PAGE_END)
+            if end < 0:
+                break
+            end += len(_PAGE_END)
+            page = _fast_page(buf[:end], self.source.lang)
+            if page is None:
+                fast = yield from self._parse(end)
+            else:
+                del buf[:end]
+                self.last_title = page.title
+                yield page
+        yield from self._feed(len(buf))
+        while self._read():
+            yield from self._feed(len(buf))
+        if self.left is not None and self.root is not None:  # a span ends between pages
+            self.parser.feed(f"</{_localname(self.root.tag)}>".encode())
+        self.parser.close()
+        yield from self._events()
+
+    def _read(self) -> bool:
+        """Append the stream's next read to the buffer; False at its end."""
+        size = _SCAN_SIZE if self.left is None else min(_SCAN_SIZE, self.left)
+        chunk = self.stream.read(size) if size else b""
+        if self.left is not None:
+            self.left -= len(chunk)
+        self.buf += chunk
+        return bool(chunk)
+
+    def _find(self, tag: bytes) -> int:
+        """Offset of tag in the buffer, reading on until it is there; -1
+        if the input ends first."""
+        start = 0
+        while (at := self.buf.find(tag, start)) < 0:
+            start = max(0, len(self.buf) - len(tag) + 1)
+            if not self._read():
+                return -1
+        return at
+
+    def _parse(self, size: int) -> Generator[WikiPage, None, bool]:
+        """``_feed(size)``, then whether the next page may be read from
+        its bytes: the parser stands between tokens, among the root's
+        children, and has seen every byte before the buffer but those
+        of the pages read from bytes."""
+        between = _MARKUP.fullmatch(self.buf, 0, size) is not None
+        yield from self._feed(size)
+        return between and self.depth == 1
+
+    def _feed(self, size: int) -> Iterator[WikiPage]:
+        """Feed the buffer's first size bytes to the parser; yield the
+        pages that they finish."""
+        self.parser.feed(self.buf[:size])
+        del self.buf[:size]
+        yield from self._events()
+
+    def _events(self) -> Iterator[WikiPage]:
+        for event, elem in self.parser.read_events():
+            self.depth += 1 if event == "start" else -1
+            if self.root is None:
+                self.root = elem
+            elif event == "end" and _localname(elem.tag) == "page":
+                page = _read_page(elem, self.source.lang)
+                self.last_title = page.title
+                yield page
+                self.root.clear()
+
+
+def _fast_page(piece: bytearray, lang: str) -> WikiPage | None:
+    """The page that piece, one ``<page>…</page>``, holds, if the export
+    grammar accepts it; else None."""
+    try:
+        page = piece.decode("utf-8")
+        if not _plain_bytes(piece) or "\ufffe" in page or "\uffff" in page:
+            return None
+    except ValueError:  # not UTF-8, or a character reference too long for int
+        return None
+    match = _page_grammar().fullmatch(page)
+    if match is None:
+        return None
+    redirect = match["redirect"]
+    # _read_page reads the last <text> of the last revision, "" if that
+    # is empty or missing, where a repeated group keeps an earlier one
+    text = match["text"] if match.start("text") > match.start("revision") else ""
+    return _page(
+        lang, _unescape(match["title"]), match["ns"], match["id"],
+        None if redirect is None else _unescape(redirect[1:-1]), _unescape(text),
+    )
+
+
+def _plain_bytes(piece: bytearray) -> bool:
+    """Whether piece, if the grammar accepts it, keeps the rules of XML
+    that the grammar leaves out: no control character but tab and LF, no
+    raw ">" outside a tag (so no ``]]>``), and every & starts a
+    reference to an XML character."""
+    if (
+        len(piece.translate(None, _CONTROLS)) < len(piece)
+        or piece.count(b">") != piece.count(b"<")  # one of each per tag
+    ):
+        return False
+    amps = piece.count(b"&")
+    if not amps:
+        return True
+    refs = sum(piece.count(ref) for ref in _NAMED_REFS)
+    if b"&#" in piece:
+        for ref in _NUMERIC_REF.finditer(piece):
+            digits = ref[1]
+            code = int(digits[1:], 16) if digits[:1] == b"x" else int(digits)
+            if not (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF
+                    or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF):
+                return False
+            refs += 1
+    return refs == amps
+
+
+def _unescape(text: str) -> str:
+    """Character data of a page that ``_plain_bytes`` accepted, its
+    references replaced."""
+    if "&" not in text:
+        return text
+    text = text.replace("&lt;", "<").replace("&gt;", ">")
+    text = text.replace("&quot;", '"').replace("&apos;", "'")
+    if "&#" not in text:
+        return text.replace("&amp;", "&")
+    return _CHAR_REF.sub(_char, text)
+
+
+def _char(ref: re.Match) -> str:
+    if ref[0] == "&amp;":
+        return "&"
+    return chr(int(ref[1]) if ref[1] else int(ref[2], 16))
 
 
 def parse_page(text: str, lang: str) -> WikiPage:
@@ -170,9 +422,7 @@ def parse_page(text: str, lang: str) -> WikiPage:
 def _read_page(elem: etree.Element, lang: str) -> WikiPage:
     """The page's own <title>, <ns>, first <id> and <redirect title>, and
     the <text> of its last <revision>, each matched by local name; a
-    missing <ns> is 0, a missing <id> is -1.  A title holding a tab or a
-    line break, which MediaWiki forbids and a TSV row cannot carry, is a
-    DumpParseError.  A DumpParseError names the field but not the file."""
+    missing <ns> is 0, a missing <id> is -1."""
     children: dict[str, etree.Element] = {}
     for child in elem:
         tag = _localname(child.tag)
@@ -182,18 +432,34 @@ def _read_page(elem: etree.Element, lang: str) -> WikiPage:
     for child in children.get("revision", ()):
         if _localname(child.tag) == "text":
             fields["text"] = child.text or ""
-    title = _title(fields.get("title", ""), "title")
     redirect = children.get("redirect")
+    return _page(
+        lang,
+        fields.get("title", ""),
+        fields.get("ns") or "0",
+        fields.get("id", "-1"),
+        None if redirect is None else redirect.get("title", ""),
+        fields.get("text", ""),
+    )
+
+
+def _page(
+    lang: str, title: str, ns: str, page_id: str, redirect: str | None, text: str
+) -> WikiPage:
+    """A page from its fields as read.  A title holding a tab or a line
+    break, which MediaWiki forbids and a TSV row cannot carry, is a
+    DumpParseError, and so is an ns or id that is not an integer; it
+    names the field but not the file."""
+    title = _title(title, "title")
     return WikiPage(
         title=title,
         lang=lang,
-        namespace=_integer(fields.get("ns") or "0", "ns"),
+        namespace=_integer(ns, "ns"),
         redirect_target=(
-            None if redirect is None
-            else _title(redirect.get("title", ""), "redirect title", page=title)
+            None if redirect is None else _title(redirect, "redirect title", page=title)
         ),
-        wikitext=fields.get("text", ""),
-        page_id=_integer(fields.get("id", "-1"), "id"),
+        wikitext=text,
+        page_id=_integer(page_id, "id"),
     )
 
 
@@ -217,13 +483,14 @@ def _integer(text: str, field: str) -> int:
 def shard_spans(path: str, n: int) -> list[Span]:
     """Split a plain-XML dump into at most n spans for ``stream_pages``.
 
-    Cut k of n is the first ``<page>`` at or after byte size*k//n that
-    lies past the dump's first ``<page>``; equal cuts count once.  The
-    spans run from 0 to the first cut, between cuts, and from the last
-    cut to the end (None).  A gzip or bz2 dump, or one whose pages are
-    not spelled ``<page>``, is one span: [WHOLE].  A cut that lands
-    inside a comment, CDATA section or processing instruction leaves its
-    left shard unclosed, so that shard fails to parse.
+    A span is a plain byte range of the file.  Cut k of n is the first
+    ``<page>`` at or after byte size*k//n that lies past the dump's first
+    ``<page>``; equal cuts count once.  The spans run from 0 to the first
+    cut, between cuts, and from the last cut to the end (None).  A gzip
+    or bz2 dump, or one whose pages are not spelled ``<page>``, is one
+    span: [WHOLE].  A cut that lands inside a comment, CDATA section or
+    processing instruction leaves its left shard unclosed, so that shard
+    fails to parse.
     """
     with open(path, "rb") as fh:
         plain = fh.read(1) == b"<"
@@ -254,60 +521,6 @@ def _find_page_tag(fh: IO[bytes], offset: int) -> int | None:
         carry = data[1 - len(_PAGE_TAG):]
         offset += len(chunk)
     return None
-
-
-class _ShardReader:
-    """One span of a plain-XML dump, read as a document of its own: the
-    dump's prefix (the bytes before its first ``<page>``, which hold the
-    root start tag and siteinfo) unless the span starts at 0, then the
-    span's bytes, then the root's end tag unless the span runs to the
-    end of the file.  ``tell`` is the offset in the dump file."""
-
-    def __init__(self, path: str, span: Span):
-        start, end = span
-        with open(path, "rb") as fh:
-            first = _find_page_tag(fh, 0)
-            if first is None:
-                raise DumpParseError(f"{path}: no <page> to start shard {span} at")
-            fh.seek(0)
-            prefix = fh.read(first)
-        self._head = prefix if start > 0 else b""
-        self._tail = b"" if end is None else _end_tag(prefix, path)
-        self._left = None if end is None else end - start
-        self._file = open(path, "rb")
-        self._file.seek(start)
-
-    def read(self, size: int) -> bytes:
-        if self._head:
-            data, self._head = self._head[:size], self._head[size:]
-            return data
-        if self._left is None:
-            return self._file.read(size)
-        if self._left:
-            data = self._file.read(min(size, self._left))
-            self._left -= len(data)
-            if data:
-                return data
-        data, self._tail = self._tail[:size], self._tail[size:]
-        return data
-
-    def tell(self) -> int:
-        return self._file.tell()
-
-    def close(self) -> None:
-        self._file.close()
-
-
-def _end_tag(prefix: bytes, path: str) -> bytes:
-    """The end tag that closes the root element opened in prefix."""
-    parser = etree.XMLPullParser(events=("start",))
-    parser.feed(prefix)
-    try:
-        for _event, root in parser.read_events():
-            return f"</{_localname(root.tag)}>".encode()
-    except etree.ParseError as exc:
-        raise DumpParseError(f"{path}: malformed XML before the first <page>: {exc}") from exc
-    raise DumpParseError(f"{path}: no root element before the first <page>")
 
 
 def collect_redirects(

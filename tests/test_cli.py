@@ -577,6 +577,27 @@ def test_damaged_compressed_dump_fails_only_its_language(project, capfd, compres
     assert "Traceback" not in capfd.readouterr().err
 
 
+def test_changed_analysis_year_reingests_without_a_dump_date(project):
+    # with no dump date, analysis_year bounds the birth years that ingest reads
+    text = project.read_text(encoding="utf-8").replace('    dump_date: "2018-09-01"\n', "")
+    project.write_text(text, encoding="utf-8")
+    config = load_config(project)
+    assert run_ingest(config, echo=quiet) == 0
+    candidates = config.output_dir / "candidates" / "en.tsv"
+    before = candidates.read_text(encoding="utf-8")
+    assert "\tBob Example\t1971\t" in before
+
+    project.write_text(text.replace("analysis_year: 2017", "analysis_year: 1950"), encoding="utf-8")
+    config = load_config(project)
+    messages = []
+    assert run_ingest(config, echo=lambda *a, **k: messages.append(a[0])) == 0
+    assert not any("nothing to do" in m for m in messages)
+    after = candidates.read_text(encoding="utf-8")
+    assert "\tBob Example\t\t" in after and "\tBob Example\t1971\t" not in after
+    manifest = json.loads((config.output_dir / MANIFEST_NAME).read_text())
+    assert manifest["languages"]["en"]["birth_year_bound"] == 1950
+
+
 def test_changed_dump_date_reingests(project):
     page = dict(title="Zoe Later", page_id=50,
                 text="Zoe Later (2019 award winner) was born in 1971. She graduated.")

@@ -1,7 +1,11 @@
 import bz2
 import gzip
 import re
+import time
 import tracemalloc
+import xml.etree.ElementTree as etree
+from unittest import mock
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -132,6 +136,21 @@ def test_truncated_dump_yields_then_reports(tmp_path):
     assert [p.title for p in pages] == ["Alpha", "Beta"]
 
 
+def test_truncated_bz2_dump_yields_then_reports(tmp_path):
+    pages = [dict(title=f"P{i}", page_id=i, text=f"body {i} " * 40) for i in range(2000)]
+    # level 1 compresses 100 kB blocks, so the cut leaves whole blocks before it
+    packed = bz2.compress(make_dump_xml(pages).encode("utf-8"), compresslevel=1)
+    path = tmp_path / "trunc.xml.bz2"
+    path.write_bytes(packed[: len(packed) // 2])
+    titles = []
+    with pytest.raises(DumpTruncatedError, match="compressed dump truncated") as failure:
+        for page in stream_pages(source(path)):
+            titles.append(page.title)
+    assert 0 < len(titles) < 2000
+    assert titles == [f"P{i}" for i in range(len(titles))]
+    assert f"(last complete page: {titles[-1]!r})" in str(failure.value)
+
+
 def test_truncated_gzip_dump_yields_then_reports(tmp_path):
     pages = [dict(title=f"P{i}", page_id=i, text=f"body {i} " * 20) for i in range(400)]
     packed = gzip.compress(make_dump_xml(pages).encode("utf-8"))
@@ -143,6 +162,26 @@ def test_truncated_gzip_dump_yields_then_reports(tmp_path):
             titles.append(page.title)
     assert 0 < len(titles) < 400
     assert titles == [f"P{i}" for i in range(len(titles))]
+    assert f"(last complete page: {titles[-1]!r})" in str(failure.value)
+
+
+@pytest.mark.parametrize(
+    "compress",
+    [gzip.compress, lambda data: bz2.compress(data, compresslevel=1)],
+    ids=["gzip", "bz2"],
+)
+def test_compressed_dump_corrupted_mid_stream_reports_a_parse_error(tmp_path, compress):
+    pages = [dict(title=f"P{i}", page_id=i, text=f"body {i} " * 40) for i in range(2000)]
+    packed = compress(make_dump_xml(pages).encode("utf-8"))
+    mid = len(packed) // 2
+    path = tmp_path / "corrupt.xml.bin"
+    flipped = bytes(b ^ 0xFF for b in packed[mid:mid + 8])
+    path.write_bytes(packed[:mid] + flipped + packed[mid + 8:])
+    titles = []
+    with pytest.raises(DumpParseError) as failure:  # gzip may inflate the damage to bad XML
+        for page in stream_pages(source(path)):
+            titles.append(page.title)
+    assert titles[:100] == [f"P{i}" for i in range(100)]
     assert f"(last complete page: {titles[-1]!r})" in str(failure.value)
 
 
@@ -333,3 +372,287 @@ def test_cut_inside_markup_fails_its_left_shard(tmp_path, opener, closer):
     with pytest.raises((DumpParseError, DumpTruncatedError)):
         list(stream_pages(source(path), spans[0]))
     assert len(list(stream_pages(source(path)))) == 10
+
+
+# ------------------------------------------------- byte reader and expat
+
+def outcome(pages):
+    """The pages an iterator yields, and the class of the dump error that
+    ends it (None if it ends cleanly)."""
+    got = []
+    try:
+        for page in pages:
+            got.append(page)
+    except (DumpParseError, DumpTruncatedError) as exc:
+        return got, type(exc)
+    return got, None
+
+
+def expat_outcome(path, lang="en"):
+    """outcome() of the whole document under the element-tree parser:
+    every element named page, as it ends, read by the element decoder."""
+    def pages():
+        root = None
+        try:
+            for event, elem in etree.iterparse(str(path), events=("start", "end")):
+                if root is None:
+                    root = elem
+                elif event == "end" and elem.tag.rsplit("}", 1)[-1] == "page":
+                    yield dump._read_page(elem, lang)
+                    root.clear()
+        except etree.ParseError as exc:
+            if "no element found" in str(exc) or "unclosed token" in str(exc):
+                raise DumpTruncatedError(str(exc)) from exc
+            raise DumpParseError(str(exc)) from exc
+    return outcome(pages())
+
+
+BASE_DUMP = make_dump_xml(THREE_PAGES)
+BETA = "<title>Beta</title><ns>0</ns>"
+BETA_TEXT = '<text xml:space="preserve">Beta body.'
+GHOST = (
+    "<page><title>Ghost</title><ns>0</ns><id>9</id><revision><text>boo</text></revision></page>"
+)
+
+# Each turns BASE_DUMP into a dump that the export grammar, or the byte
+# reader's prefix and gap rules, must not accept.
+FALLBACK_TRIGGERS = {
+    "crlf_in_text": lambda raw: raw.replace("Beta body.", "Beta\r\nbody."),
+    "tab_in_redirect_title": lambda raw: raw.replace('title="Alpha"', 'title="Al\tpha"'),
+    "newline_in_redirect_title": lambda raw: raw.replace('title="Alpha"', 'title="Al\npha"'),
+    "cdata_end_in_text": lambda raw: raw.replace("Beta body.", "Beta ]]> body."),
+    "char_ref_to_nul": lambda raw: raw.replace("Beta body.", "Beta &#0; body."),
+    "char_ref_to_surrogate": lambda raw: raw.replace("Beta body.", "Beta &#xD800; body."),
+    "u_fffe_in_text": lambda raw: raw.replace("Beta body.", "Beta \ufffe body."),
+    "repeated_attribute": lambda raw: raw.replace(
+        BETA_TEXT, '<text xml:space="preserve" xml:space="preserve">Beta body.'
+    ),
+    "unbound_prefix": lambda raw: raw.replace(BETA_TEXT, "<x:note/>" + BETA_TEXT),
+    "doctype_entity_used_in_a_page": lambda raw: raw.replace(
+        "<mediawiki", '<!DOCTYPE mediawiki [<!ENTITY who "Bee">]><mediawiki'
+    ).replace("Beta body.", "&who; body."),
+    "iso_8859_1_declaration": lambda raw: raw.replace(
+        'encoding="utf-8"', 'encoding="iso-8859-1"'
+    ).replace("Beta body.", "Beta bédy.").encode("latin-1"),
+    "comment_between_pages_holding_a_page": lambda raw: raw.replace(
+        "<page><title>Beta", f"<!-- {GHOST} --><page><title>Beta"
+    ),
+    "junk_after_root": lambda raw: raw + "junk",
+    "comment_after_root": lambda raw: raw + "<!-- end -->\n",
+    "children_out_of_schema_order": lambda raw: raw.replace(BETA, "<ns>0</ns><title>Beta</title>"),
+    "empty_ns": lambda raw: raw.replace(BETA, "<title>Beta</title><ns></ns>"),
+}
+
+
+@pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS, ids=list(FALLBACK_TRIGGERS))
+def test_fallback_reads_as_expat_does(tmp_path, trigger):
+    raw = FALLBACK_TRIGGERS[trigger](BASE_DUMP)
+    assert raw != BASE_DUMP
+    path = tmp_path / "dump.xml"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+    assert outcome(stream_pages(source(path))) == expat_outcome(path)
+
+
+# Pages as a Wikimedia pages-articles export writes them.
+REAL_EXPORT = """\
+<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/" \
+xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" \
+xsi:schemaLocation="http://www.mediawiki.org/xml/export-0.10/ \
+http://www.mediawiki.org/xml/export-0.10.xsd" version="0.10" xml:lang="en">
+  <siteinfo>
+    <sitename>Wikipedia</sitename>
+    <dbname>enwiki</dbname>
+    <base>https://en.wikipedia.org/wiki/Main_Page</base>
+    <generator>MediaWiki 1.32.0-wmf.19</generator>
+    <case>first-letter</case>
+    <namespaces>
+      <namespace key="-2" case="first-letter">Media</namespace>
+      <namespace key="0" case="first-letter" />
+    </namespaces>
+  </siteinfo>
+  <page>
+    <title>AccessibleComputing</title>
+    <ns>0</ns>
+    <id>10</id>
+    <redirect title="Computer accessibility" />
+    <revision>
+      <id>854851586</id>
+      <parentid>834079434</parentid>
+      <timestamp>2018-08-14T06:47:24Z</timestamp>
+      <contributor>
+        <username>Godsy</username>
+        <id>23257138</id>
+      </contributor>
+      <minor />
+      <comment>remove from category for seeking instructions on rcats</comment>
+      <model>wikitext</model>
+      <format>text/x-wiki</format>
+      <text bytes="94" xml:space="preserve">#REDIRECT [[Computer accessibility]]
+
+{{R from move}}
+{{R from CamelCase}}
+{{R unprintworthy}}</text>
+      <sha1>42l0cvblwtb4nnupxm6wo000d27t6kf</sha1>
+    </revision>
+  </page>
+  <page>
+    <title>Ada &amp; &quot;Babbage&quot;</title>
+    <ns>0</ns>
+    <id>12</id>
+    <revision>
+      <id>855000001</id>
+      <timestamp>2018-08-20T10:00:00Z</timestamp>
+      <contributor>
+        <ip>192.0.2.7</ip>
+      </contributor>
+      <model>wikitext</model>
+      <format>text/x-wiki</format>
+      <text bytes="52" xml:space="preserve">&lt;ref&gt;Café&amp;nbsp;&#9731;&lt;/ref&gt; x &gt; y</text>
+      <sha1>phoiac9h4m842xq45sp7s6u21eteeq1</sha1>
+    </revision>
+  </page>
+</mediawiki>
+"""
+
+
+def test_real_and_generated_dumps_take_only_the_fast_path(tmp_path):
+    real = tmp_path / "real.xml"
+    real.write_text(REAL_EXPORT, encoding="utf-8")
+    generated = write_dump(tmp_path, THREE_PAGES * 5, name="generated.xml")
+    expected = {path: expat_outcome(path) for path in (real, generated)}
+    with mock.patch.object(dump, "_read_page", side_effect=AssertionError("slow path")):
+        assert outcome(stream_pages(source(real))) == expected[real]
+        assert outcome(stream_pages(source(generated))) == expected[generated]
+        assert shard_pages(generated, 3) == expected[generated][0]
+    pages = expected[real][0]
+    assert [p.redirect_target for p in pages] == ["Computer accessibility", None]
+    assert pages[1].title == 'Ada & "Babbage"'
+    assert pages[1].wikitext == "<ref>Café&nbsp;☃</ref> x > y"
+
+
+def test_fast_path_resumes_after_a_page_outside_the_grammar(tmp_path):
+    raw = FALLBACK_TRIGGERS["children_out_of_schema_order"](make_dump_xml(THREE_PAGES * 20))
+    path = tmp_path / "dump.xml"
+    path.write_text(raw, encoding="utf-8")
+    expected = expat_outcome(path)
+    with mock.patch.object(dump, "_read_page", wraps=dump._read_page) as element_decoder:
+        assert outcome(stream_pages(source(path))) == expected
+    assert element_decoder.call_count == 20  # the Beta pages only
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["\x01", "> and", "</text></revision><bogus/><revision><text>"],
+    ids=["control_character", "raw_gt", "late_markup"],
+)
+def test_a_page_that_fails_late_is_rejected_in_linear_time(tmp_path, damage):
+    text = "&amp;" * 400_000 + damage + "end"  # about 2 MB, every & a reference
+    raw = make_dump_xml([dict(title="Big", page_id=1, text="@")]).replace("@", text)
+    path = tmp_path / "dump.xml"
+    path.write_text(raw, encoding="utf-8")
+    started = time.monotonic()
+    got = outcome(stream_pages(source(path)))
+    assert time.monotonic() - started < 5
+    assert got == expat_outcome(path)
+
+
+# ----------------------------------------------- differential: fast vs expat
+
+def revision_xml(text, shape):
+    if shape == "real":
+        return (
+            "<revision><id>5</id><parentid>4</parentid><timestamp>2018-08-14T06:47:24Z"
+            "</timestamp><contributor><username>U &amp; V</username><id>55</id></contributor>"
+            "<minor /><comment>tidy</comment><model>wikitext</model><format>text/x-wiki</format>"
+            f'<text bytes="{len(text)}" xml:space="preserve">{text}</text>'
+            "<sha1>42l0cvblwtb4nnupxm6wo000d27t6kf</sha1></revision>"
+        )
+    if shape == "ip":
+        return (
+            "<revision><id>6</id><contributor><ip>192.0.2.1</ip></contributor>"
+            f"<text>{text}</text>\n</revision>"
+        )
+    if shape == "deleted":
+        return (
+            '<revision><id>7</id><contributor deleted="deleted" />'
+            '<text deleted="deleted" /></revision>'
+        )
+    return f'<revision><id>1</id><text xml:space="preserve">{text}</text></revision>'
+
+
+# Character data or markup dropped raw into a page: entities, character
+# references, and every fallback trigger.
+RAW_BITS = [
+    "&amp;", "&lt;", "&quot;", "&apos;", "&#65;", "&#x263A;", "&#13;", "&#0;", "&#xD800;",
+    "\r\n", "]]>", ">", "\ufffe", "\x01", "\t", "<!--c-->", "<![CDATA[<b>]]>", "&who;",
+    "<x:y/>", '"',
+]
+char_data = st.lists(
+    st.one_of(st.text(alphabet="ab <>&\"'\né€\U0001f600", max_size=8).map(escape),
+              st.sampled_from(RAW_BITS)),
+    max_size=4,
+).map("".join)
+pages_st = st.lists(
+    st.fixed_dictionaries({
+        "title": char_data,
+        "ns": st.sampled_from(["0", "0", "1", "", "x"]),
+        "redirect": st.none() | char_data,
+        "revisions": st.lists(
+            st.tuples(char_data, st.sampled_from(["plain", "real", "ip", "deleted"])),
+            min_size=1, max_size=3,
+        ),
+        "mutation": st.sampled_from(
+            [None, None, "ns_first", "repeated_attribute", "restrictions"]
+        ),
+        "gap": st.sampled_from(["", "\n  ", "<!-- <page> -->", "<!--c-->\n"]),
+    }),
+    max_size=5,
+)
+
+
+def page_of(spec, page_id):
+    ns = f"<ns>{spec['ns']}</ns>"
+    title = f"<title>{spec['title']}</title>"
+    head = ns + title if spec["mutation"] == "ns_first" else title + ns
+    redirect = "" if spec["redirect"] is None else f'<redirect title="{spec["redirect"]}" />'
+    if spec["mutation"] == "restrictions":
+        redirect += "<restrictions>edit=sysop</restrictions>"
+    body = "".join(revision_xml(text, shape) for text, shape in spec["revisions"])
+    if spec["mutation"] == "repeated_attribute":
+        body = body.replace("<text ", '<text bytes="1" bytes="1" ', 1)
+    return f"{spec['gap']}<page>\n  {head}<id>{page_id}</id>{redirect}{body}</page>\n"
+
+
+@settings(
+    max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    pages=pages_st,
+    root=st.sampled_from(
+        ["<mediawiki>", f'<mediawiki xmlns="{MW_NS}">', REAL_EXPORT.split("\n")[0]]
+    ),
+    prolog=st.sampled_from(["utf-8", "utf-8", "none", "doctype", "latin-1"]),
+    tail=st.sampled_from(["", "\n", "junk", "<!-- end -->", "<!-- <page> -->"]),
+    n=st.integers(1, 4),
+)
+def test_byte_reader_matches_expat(tmp_path, pages, root, prolog, tail, n):
+    decl = '<?xml version="1.0" encoding="{}"?>\n'
+    head = {
+        "utf-8": decl.format("utf-8"),
+        "none": "",
+        "doctype": decl.format("utf-8") + '<!DOCTYPE mediawiki [<!ENTITY who "Bee">]>',
+        "latin-1": decl.format("iso-8859-1"),
+    }[prolog]
+    raw = (
+        f"{head}{root}\n<siteinfo><sitename>T</sitename></siteinfo>\n"
+        + "".join(page_of(spec, i) for i, spec in enumerate(pages))
+        + f"</mediawiki>{tail}"
+    )
+    path = tmp_path / "dump.xml"
+    encoding = "latin-1" if prolog == "latin-1" else "utf-8"
+    path.write_bytes(raw.encode(encoding, "xmlcharrefreplace"))
+    assert outcome(stream_pages(source(path))) == expat_outcome(path)
+    for span in shard_spans(str(path), n):
+        fast = outcome(stream_pages(source(path), span))
+        with mock.patch.object(dump, "_fast_page", lambda piece, lang: None):  # all via expat
+            assert fast == outcome(stream_pages(source(path), span))

@@ -250,7 +250,7 @@ def test_every_traced_name_exists():
 UNREAD_ALLOWED = {
     "bundled_dictionary_path": "locates the starter dictionaries shipped as package data",
     "load_person_file": "perfbench/tracing.py patches it by name until ROADMAP item 1; "
-                        "item 3 then deletes it with the person files",
+                        "item 4 then deletes it with the person files",
 }
 
 
