@@ -11,10 +11,11 @@ from magic bytes; a compressed dump is always read whole.
 Pages are read straight from their bytes.  Each ``<page>…</page>`` that
 a strict grammar of the export schema accepts is decoded by one regex
 match, and only the five predefined entities and character references
-are unescaped.  All other bytes -- a prefix with a DOCTYPE or another
-encoding, a page of another shape, a comment or junk between pages --
-go to one expat pull parser per stream, which has been fed the dump's
-prefix (the bytes before its first ``<page>``).  So every dump gives the
+are unescaped.  From the first page of another shape, or the first gap
+between pages that is not whitespace, the rest of the stream goes to
+one expat pull parser per stream, which has been fed the dump's prefix
+(the bytes before its first ``<page>``); so does all of a stream whose
+prefix has a DOCTYPE or another encoding.  So every dump gives the
 pages and the error class that expat gives for the whole document.
 
 One set of field rules (``_page``) builds every page, whether the
@@ -35,7 +36,7 @@ import re
 import xml.etree.ElementTree as etree
 import zlib
 from dataclasses import dataclass
-from typing import IO, Generator, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import DumpFormatError, DumpParseError, DumpTruncatedError
 
@@ -115,26 +116,25 @@ _S = r"[ \t\r\n]*"
 _NAME = r"[A-Za-z_][A-Za-z0-9_.-]*"
 _TEXT = r"[^<]*"
 # XML reads a tab or a line break in an attribute value as a space; with
-# no ">" in a value, the duplicate check stays inside its tag
+# no ">" in a value, each tag holds one ">" (see _plain_bytes)
 _VALUE = r"\"[^\"<>\t\n]*\"|'[^'<>\t\n]*'"
 
 
-def _attributes(group: str) -> str:
-    """Up to four attributes of one start tag, unprefixed or ``xml:``,
-    none a namespace declaration and none named twice; the group names
-    each in turn."""
+def _attributes(*names: str) -> str:
+    """The attributes of a start tag that exports write, each optional,
+    in the order they write them; a tag with any other list is left to
+    expat."""
+    return "".join(rf"(?:[ \t\r\n]+{name}{_S}={_S}(?:{_VALUE}))?" for name in names)
+
+
+def _children(n: int) -> str:
+    """Children of <revision> but <text>, each of character data or of
+    elements of character data (<contributor>); n keeps group names apart."""
     return (
-        rf"(?:[ \t\r\n]+(?P<{group}>(?!xmlns)(?:xml:)?{_NAME})"
-        rf"(?![^>]*[ \t\r\n](?P={group})[ \t\r\n]*=){_S}={_S}(?:{_VALUE})){{0,4}}"
+        rf"(?:{_S}<(?P<child{n}>(?!text[ \t\r\n/>]){_NAME}){_attributes('deleted')}{_S}"
+        rf"(?:/>|>(?:{_TEXT}|(?:{_S}<(?P<field{n}>{_NAME}){_S}>{_TEXT}</(?P=field{n}){_S}>)+"
+        rf"{_S})</(?P=child{n}){_S}>))*"
     )
-
-
-# a child of <revision> but <text>, of character data or of elements of
-# character data (<contributor>)
-_CHILD = (
-    rf"<(?P<child>(?!text[ \t\r\n/>]){_NAME}){_attributes('c')}{_S}(?:/>|>(?:{_TEXT}"
-    rf"|(?:{_S}<(?P<field>{_NAME}){_S}>{_TEXT}</(?P=field){_S}>)+{_S})</(?P=child){_S}>)"
-)
 
 
 @functools.cache
@@ -145,9 +145,9 @@ def _page_grammar() -> re.Pattern[str]:
         rf"<page>{_S}<title>(?P<title>{_TEXT})</title>{_S}<ns>(?P<ns>-?[0-9]+)</ns>"
         rf"{_S}<id>(?P<id>[0-9]+)</id>"
         rf"(?:{_S}<redirect[ \t\r\n]+title{_S}={_S}(?P<redirect>{_VALUE}){_S}/>)?"
-        rf"(?:{_S}(?P<revision><revision>(?:{_S}(?:{_CHILD}"
-        rf"|<text{_attributes('t')}{_S}(?:/>|>(?P<text>{_TEXT})</text{_S}>)))*"
-        rf"{_S}</revision>))+{_S}</page>"
+        rf"(?:{_S}(?P<revision><revision>{_children(1)}"
+        rf"(?:{_S}<text{_attributes('bytes', 'sha1', 'xml:space', 'deleted')}{_S}"
+        rf"(?:/>|>(?P<text>{_TEXT})</text{_S}>){_children(2)})?{_S}</revision>))+{_S}</page>"
     )
 
 
@@ -157,18 +157,6 @@ _NAMED_REFS = (b"&amp;", b"&lt;", b"&gt;", b"&quot;", b"&apos;")
 _NUMERIC_REF = re.compile(rb"&#([0-9]+|x[0-9a-fA-F]+);")
 _CHAR_REF = re.compile(r"&(?:amp|#([0-9]+)|#x([0-9a-fA-F]+));")
 
-# Markup that ends where expat stands between tokens: runs of character
-# data, each closed by a whole tag, comment, processing instruction or
-# CDATA section, then whitespace.  After bytes that match it, the next
-# page may be read from its bytes.
-_MARKUP = re.compile(
-    rb"(?:[^<]*(?:"
-    rb"</?[^\x00-\x20<>/!?\"'=&]+(?:[ \t\r\n]+[^\x00-\x20<>/!?\"'=&]+[ \t\r\n]*=[ \t\r\n]*"
-    rb"(?:\"[^\"<]*\"|'[^'<]*'))*[ \t\r\n]*/?>"
-    rb"|<!--.*?-->|<\?.*?\?>|<!\[CDATA\[.*?\]\]>"
-    rb"))*[ \t\r\n]*",
-    re.DOTALL,
-)
 _ENCODING = re.compile(rb"<\?xml[ \t\r\n][^>]*?encoding[ \t\r\n]*=[ \t\r\n]*[\"']([^\"']*)")
 
 
@@ -181,10 +169,11 @@ def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
     pages parsed before the failure are yielded first.
 
     The dump is read 16 KiB at a time, and only its unconsumed bytes are
-    kept.  A page that the export grammar accepts is decoded from its
-    bytes; all else goes to an expat pull parser fed the dump's prefix
-    first, so the pages and the error class are those of expat on the
-    whole document (its line and column count only the bytes it saw).
+    kept.  Pages that the export grammar accepts are decoded from their
+    bytes up to the first page or gap that it does not; the rest goes
+    to an expat pull parser fed the dump's prefix first, so the pages
+    and the error class are those of expat on the whole document (its
+    line and column count only the bytes it saw).
 
     With a span (start, end) from ``shard_spans`` other than WHOLE, only
     the pages in bytes [start, end) of a plain-XML dump are yielded (end
@@ -209,9 +198,10 @@ def stream_pages(source: DumpSource, span: Span = WHOLE) -> Iterator[WikiPage]:
 
 class _PageStream:
     """The pages of one stream.  The buffer holds the bytes read but not
-    yet consumed, after head (a shard's copy of the dump's prefix).  A
-    page the grammar accepts is decoded from it; all other bytes are fed
-    to the parser in dump order."""
+    yet consumed, after head (a shard's copy of the dump's prefix).  Pages
+    the grammar accepts are decoded from it; from the first bytes that
+    are neither such a page nor whitespace between pages, all bytes are
+    fed to the parser."""
 
     def __init__(self, stream: IO[bytes], source: DumpSource, head: bytes, size: int | None):
         self.stream = stream
@@ -220,7 +210,6 @@ class _PageStream:
         self.left = size  # bytes of the stream still to read; None: all of them
         self.parser = etree.XMLPullParser(events=("start", "end"))
         self.root: etree.Element | None = None  # every finished page is cleared out of it
-        self.depth = 0  # elements the parser has open
         self.last_title: str | None = None
 
     def __iter__(self) -> Iterator[WikiPage]:
@@ -263,8 +252,11 @@ class _PageStream:
         fast = (
             at >= 0 and b"<!DOCTYPE" not in prefix
             and (declared is None or declared[1].lower() == b"utf-8")
-            and (yield from self._parse(at))
+            and _between_pages(buf[:at])
         )
+        yield from self._feed(max(at, 0))
+        # the first gap or page that is not whitespace or in the grammar
+        # sends the rest of the stream to expat
         while fast:
             at = buf.find(_PAGE_TAG)
             if at < 0:
@@ -273,21 +265,19 @@ class _PageStream:
                     break
                 del buf[:keep]
                 continue
-            if not buf[:at].strip(_XML_SPACE):
-                del buf[:at]
-            elif not (yield from self._parse(at)):
+            if buf[:at].strip(_XML_SPACE):
                 break
+            del buf[:at]
             end = self._find(_PAGE_END)
             if end < 0:
                 break
             end += len(_PAGE_END)
             page = _fast_page(buf[:end], self.source.lang)
             if page is None:
-                fast = yield from self._parse(end)
-            else:
-                del buf[:end]
-                self.last_title = page.title
-                yield page
+                break
+            del buf[:end]
+            self.last_title = page.title
+            yield page
         yield from self._feed(len(buf))
         while self._read():
             yield from self._feed(len(buf))
@@ -315,15 +305,6 @@ class _PageStream:
                 return -1
         return at
 
-    def _parse(self, size: int) -> Generator[WikiPage, None, bool]:
-        """``_feed(size)``, then whether the next page may be read from
-        its bytes: the parser stands between tokens, among the root's
-        children, and has seen every byte before the buffer but those
-        of the pages read from bytes."""
-        between = _MARKUP.fullmatch(self.buf, 0, size) is not None
-        yield from self._feed(size)
-        return between and self.depth == 1
-
     def _feed(self, size: int) -> Iterator[WikiPage]:
         """Feed the buffer's first size bytes to the parser; yield the
         pages that they finish."""
@@ -333,7 +314,6 @@ class _PageStream:
 
     def _events(self) -> Iterator[WikiPage]:
         for event, elem in self.parser.read_events():
-            self.depth += 1 if event == "start" else -1
             if self.root is None:
                 self.root = elem
             elif event == "end" and _localname(elem.tag) == "page":
@@ -341,6 +321,23 @@ class _PageStream:
                 self.last_title = page.title
                 yield page
                 self.root.clear()
+
+
+def _between_pages(prefix: bytearray) -> bool:
+    """Whether expat, fed prefix, stands between tokens among the root's
+    children, where a page may be read from its bytes: then, and only
+    then, a ``<page>`` fed next opens a child of the root.  In a comment,
+    CDATA section, processing instruction, tag or reference it is no
+    event or an error."""
+    probe = etree.XMLPullParser(events=("start", "end"))
+    try:
+        probe.feed(prefix)
+        depth = sum(1 if event == "start" else -1 for event, _elem in probe.read_events())
+        probe.feed(_PAGE_TAG)
+        opened = [elem for _event, elem in probe.read_events()]
+    except etree.ParseError:
+        return False
+    return depth == 1 and len(opened) == 1 and _localname(opened[0].tag) == "page"
 
 
 def _fast_page(piece: bytearray, lang: str) -> WikiPage | None:
@@ -356,8 +353,8 @@ def _fast_page(piece: bytearray, lang: str) -> WikiPage | None:
     if match is None:
         return None
     redirect = match["redirect"]
-    # _read_page reads the last <text> of the last revision, "" if that
-    # is empty or missing, where a repeated group keeps an earlier one
+    # _read_page reads the <text> of the last revision, "" if that is
+    # empty or missing, where a repeated group keeps an earlier one
     text = match["text"] if match.start("text") > match.start("revision") else ""
     return _page(
         lang, _unescape(match["title"]), match["ns"], match["id"],

@@ -441,6 +441,9 @@ FALLBACK_TRIGGERS = {
     "comment_after_root": lambda raw: raw + "<!-- end -->\n",
     "children_out_of_schema_order": lambda raw: raw.replace(BETA, "<ns>0</ns><title>Beta</title>"),
     "empty_ns": lambda raw: raw.replace(BETA, "<title>Beta</title><ns></ns>"),
+    "two_texts_in_a_revision": lambda raw: raw.replace(
+        "Beta body.</text>", "Beta body.</text><text />"
+    ),
 }
 
 
@@ -530,16 +533,6 @@ def test_real_and_generated_dumps_take_only_the_fast_path(tmp_path):
     assert pages[1].wikitext == "<ref>Café&nbsp;☃</ref> x > y"
 
 
-def test_fast_path_resumes_after_a_page_outside_the_grammar(tmp_path):
-    raw = FALLBACK_TRIGGERS["children_out_of_schema_order"](make_dump_xml(THREE_PAGES * 20))
-    path = tmp_path / "dump.xml"
-    path.write_text(raw, encoding="utf-8")
-    expected = expat_outcome(path)
-    with mock.patch.object(dump, "_read_page", wraps=dump._read_page) as element_decoder:
-        assert outcome(stream_pages(source(path))) == expected
-    assert element_decoder.call_count == 20  # the Beta pages only
-
-
 @pytest.mark.parametrize(
     "damage",
     ["\x01", "> and", "</text></revision><bogus/><revision><text>"],
@@ -548,6 +541,29 @@ def test_fast_path_resumes_after_a_page_outside_the_grammar(tmp_path):
 def test_a_page_that_fails_late_is_rejected_in_linear_time(tmp_path, damage):
     text = "&amp;" * 400_000 + damage + "end"  # about 2 MB, every & a reference
     raw = make_dump_xml([dict(title="Big", page_id=1, text="@")]).replace("@", text)
+    assert_read_in_linear_time(tmp_path, raw)
+
+
+@pytest.mark.parametrize(
+    "closed, unclosed",
+    [
+        ("<!--c-->", "<!-- <page> "),
+        ("<?pi x?>", "<?pi <page> "),
+        ("<![CDATA[c]]>", "<![CDATA[<page>"),
+    ],
+    ids=["comment", "processing_instruction", "cdata"],
+)
+def test_a_prefix_of_many_constructs_then_an_unclosed_one_is_read_in_linear_time(
+    tmp_path, closed, unclosed
+):
+    # each construct may end only at its first terminator; the unclosed
+    # one holds the first <page>, so the prefix ends inside it
+    raw = make_dump_xml(THREE_PAGES).replace("<page>", closed * 40 + unclosed + "<page>", 1)
+    assert_read_in_linear_time(tmp_path, raw)
+
+
+def assert_read_in_linear_time(tmp_path, raw):
+    """stream_pages gives expat's outcome on raw within 5 s."""
     path = tmp_path / "dump.xml"
     path.write_text(raw, encoding="utf-8")
     started = time.monotonic()
@@ -572,6 +588,8 @@ def revision_xml(text, shape):
             "<revision><id>6</id><contributor><ip>192.0.2.1</ip></contributor>"
             f"<text>{text}</text>\n</revision>"
         )
+    if shape == "two_texts":  # _read_page reads the last <text>
+        return f"<revision><text>{text}</text><text /></revision>"
     if shape == "deleted":
         return (
             '<revision><id>7</id><contributor deleted="deleted" />'
@@ -598,7 +616,9 @@ pages_st = st.lists(
         "ns": st.sampled_from(["0", "0", "1", "", "x"]),
         "redirect": st.none() | char_data,
         "revisions": st.lists(
-            st.tuples(char_data, st.sampled_from(["plain", "real", "ip", "deleted"])),
+            st.tuples(
+                char_data, st.sampled_from(["plain", "real", "ip", "deleted", "two_texts"])
+            ),
             min_size=1, max_size=3,
         ),
         "mutation": st.sampled_from(
