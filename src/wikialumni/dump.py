@@ -6,7 +6,8 @@ in shards, byte ranges that each start at a ``<page>`` tag
 (``shard_spans``), so ingest streams every shard in its own worker
 process, at most one per CPU in the affinity mask, and the bound holds
 per shard worker.  Plain XML, gzip and bz2 inputs are auto-detected
-from magic bytes; a compressed dump is always read whole.
+from magic bytes; plain XML may open with a UTF-8 or UTF-16 byte-order
+mark.  A compressed dump is always read whole.
 
 Pages are read straight from their bytes.  Each ``<page>…</page>`` that
 a strict grammar of the export schema accepts is decoded by one regex
@@ -44,6 +45,9 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _BZ2_MAGIC = b"BZh"
 # zstd / lzma / 7z signatures we recognize but do not decompress
 _KNOWN_OTHER = {b"\x28\xb5\x2f\xfd": "zstd", b"\xfd7zX": "xz", b"7z\xbc\xaf": "7z"}
+# byte-order marks that may open a plain-XML dump, which expat reads
+_BOMS = {codecs.BOM_UTF8: "utf-8", codecs.BOM_UTF16_LE: "utf-16-le",
+         codecs.BOM_UTF16_BE: "utf-16-be"}
 
 MAX_REDIRECT_HOPS = 16  # longer chains count as unresolvable
 
@@ -96,6 +100,10 @@ def _open_dump(path: str) -> IO[bytes]:
                 f"{path}: {name}-compressed dumps are not supported; "
                 "recompress as gzip or bz2, or decompress to plain XML"
             )
+    for bom, encoding in _BOMS.items():
+        if head.startswith(bom):
+            head = head[len(bom):].decode(encoding, "ignore").encode()
+            break
     if head.lstrip()[:1] not in (b"<", b""):
         raise DumpFormatError(
             f"{path}: not XML and no recognized compression magic "
@@ -484,10 +492,10 @@ def shard_spans(path: str, n: int) -> list[Span]:
     ``<page>`` at or after byte size*k//n that lies past the dump's first
     ``<page>``; equal cuts count once.  The spans run from 0 to the first
     cut, between cuts, and from the last cut to the end (None).  A gzip
-    or bz2 dump, or one whose pages are not spelled ``<page>``, is one
-    span: [WHOLE].  A cut that lands inside a comment, CDATA section or
-    processing instruction leaves its left shard unclosed, so that shard
-    fails to parse.
+    or bz2 dump, one that starts with a byte-order mark, or one whose
+    pages are not spelled ``<page>``, is one span: [WHOLE].  A cut that
+    lands inside a comment, CDATA section or processing instruction
+    leaves its left shard unclosed, so that shard fails to parse.
     """
     with open(path, "rb") as fh:
         plain = fh.read(1) == b"<"

@@ -9,13 +9,15 @@ fixture backend's key carries the SHA-256 of its files, so an edited
 fixture is read again, and it parses its tables only on its first
 request, so a warm run reads no fixture table.
 
-The cache is read in batches: enrich_records and university_views read
-the lookups of a block ahead, in one query per backend, kind, lang and
-year and READ_BATCH (500) titles, instead of one query per lookup.
-Fetched lookups are committed WRITE_BATCH (50) at a time, in one short
-transaction each, and the rest when the client is closed, which the
-views stage does also when it fails.  So a SIGKILLed run loses at most
-the last 49 fetched lookups, which the next run fetches again.
+Every lookup goes through ViewClient.lookup, which takes a set of
+pages, reads them from the cache in one query per backend, kind, lang
+and year and READ_BATCH (500) titles, and fetches the rest.
+enrich_records calls it twice per block of READ_BATCH records (language
+links, then views), university_views once.  Fetched lookups are
+committed WRITE_BATCH (50) at a time, in one short transaction each,
+and the rest when the client is closed, which the views stage does also
+when it fails.  So a SIGKILLed run loses at most the last 49 fetched
+lookups, which the next run fetches again.
 """
 
 from __future__ import annotations
@@ -260,14 +262,10 @@ def _retry_after(value: str | None) -> float | None:
 
 class ViewCache:
     """Lookup results in one SQLite table, cache_dir/pageviews.sqlite (WAL).
-    Reads come in batches: get_many takes the titles of one backend,
-    kind, lang and year, READ_BATCH (500) per query, and get is its
-    one-title case.  Each put writes its rows in one short transaction:
-    another ViewCache on the same directory sees them at once, and a
-    killed run keeps every put it finished.  ViewClient puts its fetched
-    lookups WRITE_BATCH (50) at a time and the rest when it is closed,
-    which the views stage does also when it fails, so a SIGKILLed run
-    loses at most the last 49."""
+    get_many reads the titles of one backend, kind, lang and year,
+    READ_BATCH (500) per query.  Each put writes its rows in one short
+    transaction: another ViewCache on the same directory sees them at
+    once, and a killed run keeps every put it finished."""
 
     def __init__(self, cache_dir: str | Path):
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
@@ -311,7 +309,10 @@ class ViewCache:
         return found
 
     def get(self, key: tuple[str, str, str, str, int]) -> str | None:
-        """The value under (backend, kind, lang, title, year), or None."""
+        """The value under (backend, kind, lang, title, year), or None.
+        The pipeline reads only through get_many; get stays because
+        perfbench/tracing.py patches it by name and the tests read rows
+        with it, until ROADMAP item 1A."""
         backend, kind, lang, title, year = key
         return self.get_many(backend, kind, lang, year, (title,)).get(title)
 
@@ -326,40 +327,22 @@ class ViewCache:
         self._close()
 
 
-_MISS = object()  # the value of a lookup the cache does not hold
-
-
 class ViewClient:
-    """Backend + cache front door used by the pipeline.
-
-    read_ahead reads a block of lookups from the cache in batched
-    queries (see ViewCache.get_many) and decodes each query's values in
-    one call; a lookup it read is served from that block, hit or miss,
-    and any other lookup reads its own row.  A miss in the block takes
-    the value fetched for it when that value is committed, so the
-    backend is asked once per distinct lookup.  Fetched values wait in a
-    pending map, which every lookup checks first, and are committed
-    WRITE_BATCH (50) at a time in one short transaction each; close()
-    commits the rest, and the views stage closes its client also when it
-    fails.  So a SIGKILLed run loses at most the last 49 fetched
-    lookups.  No transaction stays open across a backend call, which for
-    the live API can take seconds while another process shares
-    cache_dir.
-    """
+    """Backend + cache front door used by the pipeline; lookup is its one
+    way from lookups to values.  Fetched values wait in a pending map and
+    are committed WRITE_BATCH (50) at a time, in one short transaction
+    each, and the rest on close(); so no transaction stays open across a
+    backend call, which for the live API can take seconds while another
+    process shares cache_dir."""
 
     def __init__(self, backend: Backend, cache: ViewCache):
         self.backend = backend
         self.cache = cache
         self._pending: dict[tuple[str, str, str, str, int], object] = {}
-        # the last read_ahead block: key -> cached or fetched value, or _MISS
-        self._ahead: dict[tuple[str, str, str, str, int], object] = {}
 
     def _flush(self) -> None:
         if self._pending:
             self.cache.put([(*key, json.dumps(value)) for key, value in self._pending.items()])
-            for key, value in self._pending.items():
-                if key in self._ahead:  # read as a miss before it was fetched or committed
-                    self._ahead[key] = value
             self._pending.clear()
 
     def close(self) -> None:
@@ -369,55 +352,45 @@ class ViewClient:
         finally:
             self.cache.close()
 
-    def read_ahead(self, lookups: Iterable[tuple[str, str, str, int]]) -> None:
-        """Read the (kind, lang, title, year) lookups from the cache, one
-        query per kind, lang and year and READ_BATCH titles, in place of
-        the block the previous call read."""
+    def lookup(
+        self, kind: str, year: int, pages: Iterable[tuple[str, str]]
+    ) -> dict[tuple[str, str], object]:
+        """The value of each distinct (lang, title) page, by page, for
+        kind "views" (the backend's (total, missing) pair in year) or
+        "enlink" (the English counterpart's title or None; year 0, since
+        a NULL key column never matches).  The cache is read with one
+        query per language and READ_BATCH titles; each page that neither
+        it nor the pending map holds is fetched, in order, and cached as
+        JSON text, so a cached None is a hit too.  A page whose fetch
+        raises FetchError is left out and never cached."""
         backend = f"{self.backend.source}:{self.backend.agent}"
-        groups: dict[tuple[str, str, int], dict[str, None]] = {}  # titles in first-seen order
-        for kind, lang, title, year in lookups:
-            groups.setdefault((kind, lang, year), {})[title] = None
-        self._ahead = {}
-        for (kind, lang, year), titles in groups.items():
+        wanted = dict.fromkeys(pages)  # distinct, in first-seen order
+        by_lang: dict[str, list[str]] = {}
+        for lang, title in wanted:
+            by_lang.setdefault(lang, []).append(title)
+        values: dict[tuple[str, str], object] = {}
+        for lang, titles in by_lang.items():
             found = self.cache.get_many(backend, kind, lang, year, titles)
             # each value is one JSON text, so the list of them is one JSON array
-            values = dict(zip(found, json.loads(f"[{','.join(found.values())}]")))
-            for title in titles:
-                self._ahead[(backend, kind, lang, title, year)] = values.get(title, _MISS)
-
-    def _lookup(self, kind: str, lang: str, title: str, year: int, call):
-        """The value cached for this backend if any, else call()'s, cached
-        as JSON text so a cached None is a hit too.  Language links use
-        year 0, since a NULL key column never matches."""
-        key = (f"{self.backend.source}:{self.backend.agent}", kind, lang, title, year)
-        value = self._pending.get(key, _MISS)
-        if value is _MISS:
-            value = self._ahead.get(key, _MISS)
-            if value is _MISS and key not in self._ahead:
-                text = self.cache.get(key)
-                value = _MISS if text is None else json.loads(text)
-        if value is not _MISS:
-            return value
-        value = call()
-        self._pending[key] = value
-        if len(self._pending) >= WRITE_BATCH:
-            self._flush()
-        return value
-
-    def fetch_views(self, title: str, lang: str, year: int) -> int:
-        """The page's views in year; 0 for a page with no data.  The cache
-        keeps the backend's whole (total, missing) pair."""
-        return self._lookup(
-            "views", lang, title, year, lambda: self.backend.get_views(title, lang, year)
-        )[0]
-
-    def resolve_english(self, title: str, lang: str) -> str | None:
-        """The English counterpart's title, or None if there is none."""
-        if lang == "en":
-            raise ValueError("resolve_english is for non-English records")
-        return self._lookup(
-            "enlink", lang, title, 0, lambda: self.backend.get_english_title(title, lang)
-        )
+            decoded = json.loads(f"[{','.join(found.values())}]")
+            values.update(zip([(lang, title) for title in found], decoded))
+        # a fetch below may commit and clear the pending map, so its values
+        # are taken first
+        for (_, held_kind, lang, title, held_year), value in self._pending.items():
+            if (held_kind, held_year) == (kind, year) and (lang, title) in wanted:
+                values[(lang, title)] = value
+        for lang, title in wanted:
+            if (lang, title) in values:
+                continue
+            try:
+                value = (self.backend.get_views(title, lang, year) if kind == "views"
+                         else self.backend.get_english_title(title, lang))
+            except FetchError:
+                continue
+            values[(lang, title)] = self._pending[(backend, kind, lang, title, year)] = value
+            if len(self._pending) >= WRITE_BATCH:
+                self._flush()
+        return values
 
 
 def enrich_records(
@@ -427,59 +400,43 @@ def enrich_records(
 
     Records whose lookups fail outright are flagged unresolved with
     views_total left empty; the pipeline continues.  Records go in
-    blocks of READ_BATCH: the block's language links are read ahead and
-    resolved first, then its views are read ahead and summed.
+    blocks of READ_BATCH: one lookup resolves the block's language
+    links, then one more gives the views it sums.
     """
     out: list[AlumniRecord] = []
     records = iter(records)
     while block := list(islice(records, READ_BATCH)):
-        out += _enrich_block(block, year, client)
-    return out
-
-
-def _enrich_block(block: list[AlumniRecord], year: int, client: ViewClient):
-    client.read_ahead(
-        ("enlink", rec.lang, rec.person_link, 0)
-        for rec in block
-        if rec.lang != "en" and rec.person_link_en is None
-    )
-    # per record: its English title and the other English page whose views
-    # add to its own, or None when the link lookup failed
-    links: list[tuple[str | None, str | None] | None] = []
-    for rec in block:
-        title_en = rec.person_link_en
-        if rec.lang != "en" and title_en is None:
-            try:
-                title_en = client.resolve_english(rec.person_link, rec.lang)
-            except FetchError:
-                links.append(None)
-                continue
-        other = title_en if rec.lang != "en" and title_en and title_en != rec.person_link else None
-        links.append((title_en, other))
-    lookups = []
-    for rec, link in zip(block, links):
-        if link is not None:
-            lookups.append(("views", rec.lang, rec.person_link, year))
-            if link[1]:
-                lookups.append(("views", "en", link[1], year))
-    client.read_ahead(lookups)
-    out = []
-    for rec, link in zip(block, links):
-        title_en, total, unresolved = rec.person_link_en, None, True
-        if link is not None:
-            try:
-                own = client.fetch_views(rec.person_link, rec.lang, year)
-                total = own + (client.fetch_views(link[1], "en", year) if link[1] else 0)
-            except FetchError:
-                pass
-            else:
-                title_en, unresolved = link[0], rec.unresolved
-        out.append(
-            AlumniRecord(
-                rec.university_id, rec.university_name, rec.person_link, rec.birth_year,
-                rec.lang, title_en, total, unresolved, rec.sentence, rec.trigger,
-            )
+        links = client.lookup(
+            "enlink", 0,
+            ((rec.lang, rec.person_link) for rec in block
+             if rec.lang != "en" and rec.person_link_en is None),
         )
+        # per record: its English title and the pages whose views it sums,
+        # or None when its link lookup failed
+        plans: list[tuple[str | None, list[tuple[str, str]]] | None] = []
+        for rec in block:
+            title_en = rec.person_link_en
+            if rec.lang != "en" and title_en is None:
+                if (rec.lang, rec.person_link) not in links:
+                    plans.append(None)
+                    continue
+                title_en = links[(rec.lang, rec.person_link)]
+            pages = [(rec.lang, rec.person_link)]
+            if rec.lang != "en" and title_en and title_en != rec.person_link:
+                pages.append(("en", title_en))
+            plans.append((title_en, pages))
+        views = client.lookup("views", year, (page for plan in plans if plan for page in plan[1]))
+        for rec, plan in zip(block, plans):
+            title_en, total, unresolved = rec.person_link_en, None, True
+            if plan is not None and all(page in views for page in plan[1]):
+                title_en, unresolved = plan[0], rec.unresolved
+                total = sum(views[page][0] for page in plan[1])
+            out.append(
+                AlumniRecord(
+                    rec.university_id, rec.university_name, rec.person_link, rec.birth_year,
+                    rec.lang, title_en, total, unresolved, rec.sentence, rec.trigger,
+                )
+            )
     return out
 
 
@@ -488,21 +445,14 @@ def university_views(
 ) -> dict[int, int | None]:
     """Per university, the view sum over its canonical title in each
     language (aliases excluded); None for a university with a failed
-    lookup, and the pipeline continues.  Every canonical title is read
-    ahead from the cache before the first lookup."""
-    universities = sorted(registry.universities.items())
-    client.read_ahead(
-        ("views", lang, title, year)
-        for _, uni in universities
-        for lang, title in uni.canonical_titles.items()
-    )
-    totals: dict[int, int | None] = {}
-    for uid, uni in universities:
-        try:
-            totals[uid] = sum(
-                client.fetch_views(title, lang, year)
-                for lang, title in sorted(uni.canonical_titles.items())
-            )
-        except FetchError:
-            totals[uid] = None
-    return totals
+    lookup, and the pipeline continues.  Every canonical title is looked
+    up in one call."""
+    pages = {
+        uid: sorted(uni.canonical_titles.items())
+        for uid, uni in sorted(registry.universities.items())
+    }
+    views = client.lookup("views", year, (page for own in pages.values() for page in own))
+    return {
+        uid: sum(views[page][0] for page in own) if all(page in views for page in own) else None
+        for uid, own in pages.items()
+    }

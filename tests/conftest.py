@@ -129,6 +129,16 @@ def write_langlinks_fixture(path, rows):
     return path
 
 
+def fetch_views(client, title, lang, year):
+    """One page's views in year, looked up through client.lookup."""
+    return client.lookup("views", year, [(lang, title)])[(lang, title)][0]
+
+
+def resolve_english(client, title, lang):
+    """One page's English counterpart, looked up through client.lookup."""
+    return client.lookup("enlink", 0, [(lang, title)])[(lang, title)]
+
+
 def child_env():
     """Environment for a child interpreter that imports the package
     under test."""

@@ -24,7 +24,7 @@ from wikialumni.dump import WikiPage
 from wikialumni.pageviews import FixtureBackend, LiveBackend, RateLimiter, ViewCache, ViewClient
 from wikialumni.persons import extract_birth_year
 
-from conftest import TABLE5_ORDER, table_records
+from conftest import TABLE5_ORDER, fetch_views, table_records
 from mini_corpus import build_mini_project
 from test_persons import BIRTH_YEAR_CASES, CURRENT_YEAR, oracle_birth_year
 
@@ -207,7 +207,7 @@ def test_criterion_7_hermetic_fixture_and_warm_cache(tmp_path, monkeypatch):
     warm_session = CountingSession()
     live = LiveBackend(rate_limiter=RateLimiter(0), agent="all-agents", session=warm_session)
     client = ViewClient(live, cache)
-    assert client.fetch_views("Some Page", "en", 2017) == 3
+    assert fetch_views(client, "Some Page", "en", 2017) == 3
     assert warm_session.calls == 1
     client.close()
 
@@ -216,7 +216,7 @@ def test_criterion_7_hermetic_fixture_and_warm_cache(tmp_path, monkeypatch):
         LiveBackend(rate_limiter=RateLimiter(0), agent="all-agents", session=cold_session),
         ViewCache(tmp_path / "live_cache"),
     )
-    assert rerun.fetch_views("Some Page", "en", 2017) == 3
+    assert fetch_views(rerun, "Some Page", "en", 2017) == 3
     assert cold_session.calls == 0
     ok(7, "fixture pipeline ran with sockets disabled; warm-cache live re-run made 0 requests")
 

@@ -1,4 +1,5 @@
 import bz2
+import codecs
 import gzip
 import re
 import time
@@ -454,6 +455,31 @@ def test_fallback_reads_as_expat_does(tmp_path, trigger):
     path = tmp_path / "dump.xml"
     path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
     assert outcome(stream_pages(source(path))) == expat_outcome(path)
+
+
+def utf16_dump(raw, encoding):
+    """raw, declared UTF-16 and encoded as encoding after its byte-order mark."""
+    bom = codecs.BOM_UTF16_LE if encoding == "utf-16-le" else codecs.BOM_UTF16_BE
+    return bom + raw.replace('encoding="utf-8"', 'encoding="utf-16"').encode(encoding)
+
+
+BOM_DUMPS = {
+    "utf-8": lambda raw: codecs.BOM_UTF8 + raw.encode("utf-8"),
+    "utf-8-declared-in-capitals": lambda raw: codecs.BOM_UTF8
+    + raw.replace('encoding="utf-8"', "encoding='UTF-8'").encode("utf-8"),
+    "utf-16-le": lambda raw: utf16_dump(raw, "utf-16-le"),
+    "utf-16-be": lambda raw: utf16_dump(raw, "utf-16-be"),
+}
+
+
+@pytest.mark.parametrize("bom", BOM_DUMPS, ids=list(BOM_DUMPS))
+def test_dump_with_a_byte_order_mark_reads_as_expat_does(tmp_path, bom):
+    path = tmp_path / "dump.xml"
+    path.write_bytes(BOM_DUMPS[bom](BASE_DUMP))
+    expected = expat_outcome(path)
+    assert [p.title for p in expected[0]] == ["Alpha", "Beta", "Gamma"] and expected[1] is None
+    assert outcome(stream_pages(source(path))) == expected
+    assert shard_spans(str(path), 4) == [WHOLE]
 
 
 # Pages as a Wikimedia pages-articles export writes them.

@@ -27,6 +27,8 @@ from wikialumni.registry import load_registry
 
 from conftest import (
     TABLE45,
+    fetch_views,
+    resolve_english,
     write_langlinks_fixture,
     write_universities_file,
     write_views_fixture,
@@ -42,13 +44,13 @@ def table_fixture_client(tmp_path):
 
 
 def test_fixture_markle(table_fixture_client):
-    assert table_fixture_client.fetch_views("Meghan Markle", "en", 2017) == 30430581
+    assert fetch_views(table_fixture_client, "Meghan Markle", "en", 2017) == 30430581
     assert table_fixture_client.backend.request_count == 1
     assert table_fixture_client.backend.get_views("Meghan Markle", "en", 2017) == (30430581, False)
 
 
 def test_fixture_missing_page_is_zero(table_fixture_client):
-    assert table_fixture_client.fetch_views("Hogwarts Founder", "en", 2017) == 0
+    assert fetch_views(table_fixture_client, "Hogwarts Founder", "en", 2017) == 0
     assert table_fixture_client.backend.get_views("Hogwarts Founder", "en", 2017) == (0, True)
 
 
@@ -59,14 +61,14 @@ def test_monthly_rows_sum(tmp_path):
         FixtureBackend(write_views_fixture(tmp_path / "v.tsv", rows), None),
         ViewCache(tmp_path / "cache"),
     )
-    assert client.fetch_views("Page", "en", 2017) == 1200
+    assert fetch_views(client, "Page", "en", 2017) == 1200
 
 
 def test_cache_serves_repeat_requests(table_fixture_client):
     backend = table_fixture_client.backend
-    first = table_fixture_client.fetch_views("Elon Musk", "en", 2017)
+    first = fetch_views(table_fixture_client, "Elon Musk", "en", 2017)
     count = backend.request_count
-    second = table_fixture_client.fetch_views("Elon Musk", "en", 2017)
+    second = fetch_views(table_fixture_client, "Elon Musk", "en", 2017)
     assert backend.request_count == count
     assert second == first
     assert type(second) is int
@@ -76,10 +78,10 @@ def test_warm_cache_issues_zero_requests(tmp_path):
     views_path = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
     cache_dir = tmp_path / "cache"
     with closing(ViewClient(FixtureBackend(views_path, None), ViewCache(cache_dir))) as first:
-        first.fetch_views("A", "en", 2017)
+        fetch_views(first, "A", "en", 2017)
     fresh_backend = FixtureBackend(views_path, None)
     client = ViewClient(fresh_backend, ViewCache(cache_dir))
-    assert client.fetch_views("A", "en", 2017) == 5
+    assert fetch_views(client, "A", "en", 2017) == 5
     assert fresh_backend.request_count == 0
 
 
@@ -90,9 +92,9 @@ def test_resolve_english_fixture_and_cache(tmp_path):
     )
     backend = FixtureBackend(write_views_fixture(tmp_path / "v.tsv", []), links)
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
-    assert client.resolve_english("Путин, Владимир Владимирович", "ru") == "Vladimir Putin"
+    assert resolve_english(client, "Путин, Владимир Владимирович", "ru") == "Vladimir Putin"
     count = backend.request_count
-    again = client.resolve_english("Путин, Владимир Владимирович", "ru")
+    again = resolve_english(client, "Путин, Владимир Владимирович", "ru")
     assert again == "Vladimir Putin"
     assert backend.request_count == count
 
@@ -102,7 +104,7 @@ def test_resolve_english_no_counterpart(tmp_path):
         write_views_fixture(tmp_path / "v.tsv", []), write_langlinks_fixture(tmp_path / "l.tsv", [])
     )
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
-    assert client.resolve_english("Неизвестный", "ru") is None
+    assert resolve_english(client, "Неизвестный", "ru") is None
 
 
 def test_cached_no_counterpart_is_a_hit(tmp_path):
@@ -110,9 +112,9 @@ def test_cached_no_counterpart_is_a_hit(tmp_path):
         write_views_fixture(tmp_path / "v.tsv", []), write_langlinks_fixture(tmp_path / "l.tsv", [])
     )
     client = ViewClient(backend, ViewCache(tmp_path / "cache"))
-    assert client.resolve_english("Неизвестный", "ru") is None
+    assert resolve_english(client, "Неизвестный", "ru") is None
     count = backend.request_count
-    assert client.resolve_english("Неизвестный", "ru") is None
+    assert resolve_english(client, "Неизвестный", "ru") is None
     assert backend.request_count == count
 
 
@@ -122,8 +124,8 @@ LONG_TITLE = "Московский государственный универс
 def test_cache_takes_titles_too_long_for_a_file_name(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("ru", LONG_TITLE, 2017, 42)])
     client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
-    assert client.fetch_views(LONG_TITLE, "ru", 2017) == 42
-    assert client.fetch_views(LONG_TITLE, "ru", 2017) == 42
+    assert fetch_views(client, LONG_TITLE, "ru", 2017) == 42
+    assert fetch_views(client, LONG_TITLE, "ru", 2017) == 42
     assert client.backend.request_count == 1
     registry = load_registry(
         write_universities_file(tmp_path / "u.tsv", [(1, "MSU", "ru", LONG_TITLE)])
@@ -276,18 +278,18 @@ def views_payload(n):
 def test_fixture_filled_cache_is_not_served_to_a_live_run(tmp_path):
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 5)])
     with closing(ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))) as first:
-        first.fetch_views("A", "en", 2017)
+        fetch_views(first, "A", "en", 2017)
     backend = live_backend([FakeResponse(200, views_payload(7))])
-    assert ViewClient(backend, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 7
+    assert fetch_views(ViewClient(backend, ViewCache(tmp_path / "cache")), "A", "en", 2017) == 7
     assert backend.request_count == 1
 
 
 def test_live_agents_do_not_share_cache_entries(tmp_path):
     users = live_backend([FakeResponse(200, views_payload(3))], agent="user")
     with closing(ViewClient(users, ViewCache(tmp_path / "cache"))) as first:
-        first.fetch_views("A", "en", 2017)
+        fetch_views(first, "A", "en", 2017)
     every = live_backend([FakeResponse(200, views_payload(8))])
-    assert ViewClient(every, ViewCache(tmp_path / "cache")).fetch_views("A", "en", 2017) == 8
+    assert fetch_views(ViewClient(every, ViewCache(tmp_path / "cache")), "A", "en", 2017) == 8
     assert every.request_count == 1
 
 
@@ -442,7 +444,7 @@ def test_fixture_mode_is_hermetic(tmp_path, monkeypatch):
     monkeypatch.setattr(socket.socket, "connect", no_network)
     views = write_views_fixture(tmp_path / "v.tsv", [("en", "A", 2017, 1)])
     client = ViewClient(FixtureBackend(views, None), ViewCache(tmp_path / "cache"))
-    assert client.fetch_views("A", "en", 2017) == 1
+    assert fetch_views(client, "A", "en", 2017) == 1
 
 
 class CountingBackend:
@@ -488,7 +490,7 @@ def test_batch_asks_the_backend_once_per_distinct_lookup(tmp_path):
         # 60 fetched: 50 written, 10 pending; repeat them all, then the rest, then all again
         for order in (every[:60], every[:60], every[60:], every, every[::-1]):
             for title in order:
-                assert client.fetch_views(title, "en", 2017) == len(title)
+                assert fetch_views(client, title, "en", 2017) == len(title)
     assert backend.request_count == 120
     assert sorted(backend.asked) == every
 
@@ -499,12 +501,12 @@ def test_batch_commits_every_write_batch_fetches(tmp_path):
     every = titles(WRITE_BATCH + 10)
     with closing(client):
         for title in every[: WRITE_BATCH - 1]:
-            client.fetch_views(title, "en", 2017)
+            fetch_views(client, title, "en", 2017)
         assert [cached(other, t) for t in every[: WRITE_BATCH - 1]] == [None] * (WRITE_BATCH - 1)
-        client.fetch_views(every[WRITE_BATCH - 1], "en", 2017)
+        fetch_views(client, every[WRITE_BATCH - 1], "en", 2017)
         assert all(cached(other, t) is not None for t in every[:WRITE_BATCH])
         for title in every[WRITE_BATCH:]:
-            client.fetch_views(title, "en", 2017)
+            fetch_views(client, title, "en", 2017)
         assert [cached(other, t) for t in every[WRITE_BATCH:]] == [None] * 10
     assert all(cached(other, t) is not None for t in every)
     other.close()
@@ -540,7 +542,7 @@ def test_fetch_error_is_never_cached_in_a_batch(tmp_path):
 def test_closed_client_has_committed_every_fetch(tmp_path):
     client = ViewClient(CountingBackend(), ViewCache(tmp_path / "cache"))
     for title in titles(10):
-        client.fetch_views(title, "en", 2017)
+        fetch_views(client, title, "en", 2017)
     client.close()
     other = ViewCache(tmp_path / "cache")
     assert [cached(other, t) for t in titles(10)] == [f"[{len(t)}, false]" for t in titles(10)]
@@ -550,7 +552,7 @@ def test_closed_client_has_committed_every_fetch(tmp_path):
 def test_dropped_client_loses_at_most_its_last_partial_batch(tmp_path):
     client = ViewClient(CountingBackend(), ViewCache(tmp_path / "cache"))
     for title in titles(WRITE_BATCH + 10):
-        client.fetch_views(title, "en", 2017)
+        fetch_views(client, title, "en", 2017)
     del client
     gc.collect()
     other = ViewCache(tmp_path / "cache")
@@ -651,7 +653,7 @@ def test_edited_fixture_is_read_again_by_a_warm_cache(tmp_path, edited):
 
     def lookups(backend):
         with closing(ViewClient(backend, ViewCache(cache_dir))) as client:
-            return client.fetch_views("A", "en", 2017), client.resolve_english("Человек", "ru")
+            return fetch_views(client, "A", "en", 2017), resolve_english(client, "Человек", "ru")
 
     assert lookups(FixtureBackend(views, links)) == (5, "Person")
     unchanged = FixtureBackend(views, links)
@@ -695,9 +697,9 @@ def two_language_records():
     university 1, then 97 of the earliest again under university 2, each
     many WRITE_BATCH commits after its first record.  It fetches 809
     lookups, so the last 9 (views of ru persons 198 to 202) are still
-    uncommitted when the second block reads its views ahead.  The second:
-    50 new en persons, whose fetches commit those 9, then ru persons 199
-    to 202 again under university 2."""
+    uncommitted when the second block reads its views from the cache.
+    The second: 50 new en persons, whose fetches commit those 9, then ru
+    persons 199 to 202 again under university 2."""
     en = [AlumniRecord(1, "One", f"Person {i:03d}", 1950, "en") for i in range(250)]
     ru = [AlumniRecord(1, "One", f"Человек {i:03d}", 1950, "ru") for i in range(203)]
 
@@ -774,6 +776,38 @@ def test_failed_english_link_asks_for_no_views(tmp_path):
         assert enriched.unresolved == down
         assert enriched.views_total == (None if down else views_of(r))
         assert enriched.person_link_en == (None if down or r.lang == "en" else f"{r.person_link} (en)")
+
+
+class SharedEnglishBackend(RecordingBackend):
+    """A RecordingBackend whose every English page is "Person", and
+    whose views of ru "Человек" raise FetchError."""
+
+    def get_views(self, title, lang, year):
+        total = super().get_views(title, lang, year)
+        if (lang, title) == ("ru", "Человек"):
+            raise FetchError(f"{title} is down")
+        return total
+
+    def get_english_title(self, title, lang):
+        super().get_english_title(title, lang)
+        return "Person"
+
+
+def test_failed_own_views_still_ask_for_the_english_page_once(tmp_path):
+    backend = SharedEnglishBackend()
+    records = [rec("Человек", lang="ru"), rec("Другой", lang="ru")]
+    with closing(ViewClient(backend, ViewCache(tmp_path / "cache"))) as client:
+        failed, shared = enrich_records(records, 2017, client)
+    assert failed.unresolved and failed.views_total is None
+    assert not shared.unresolved
+    assert (shared.person_link_en, shared.views_total) == ("Person", len("Другой") + 6000)
+    assert backend.asked == [
+        ("enlink", "ru", "Человек"), ("enlink", "ru", "Другой"),
+        ("views", "ru", "Человек"), ("views", "en", "Person"), ("views", "ru", "Другой"),
+    ]
+    with closing(ViewCache(tmp_path / "cache")) as cache:
+        assert cache.get(("recording:", "views", "ru", "Человек", 2017)) is None
+        assert cache.get(("recording:", "views", "en", "Person", 2017)) == "[6000, false]"
 
 
 def test_warm_views_run_reads_the_cache_in_batched_queries(tmp_path, monkeypatch):

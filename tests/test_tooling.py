@@ -1,9 +1,10 @@
 """Guards on the package's structure: every TSV parse and artifact write
 goes through wikialumni.tsv, the view cache is one SQLite file written
-from one place, only the dump module reads XML, the matcher imports
-neither the person files nor the CLI, the CLI imports no heavy dependency, every name the benchmark's tracer patches exists, every
-public name is read in src/, and every defaulted parameter is set by some
-call in src/ but not by all."""
+from one place and read from one place, only the dump module reads XML,
+the matcher imports neither the person files nor the CLI, the CLI
+imports no heavy dependency, every name the benchmark's tracer patches
+exists, every public name is read in src/, and every defaulted parameter
+is set by some call in src/ but not by all."""
 
 import ast
 import importlib.util
@@ -113,6 +114,36 @@ def test_view_cache_is_written_from_one_place():
         for site in _cache_put_sites(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert len(sites) == 1 and sites[0].startswith("pageviews.ViewClient."), sites
+
+
+def _is_cache_read(call: ast.Call) -> bool:
+    """x.get_many(...), or x.get(...) on a receiver whose name ends in
+    "cache", which is how ViewCache is read."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    receiver = func.value
+    name = receiver.attr if isinstance(receiver, ast.Attribute) else getattr(receiver, "id", "")
+    return func.attr == "get_many" or (func.attr == "get" and name.endswith("cache"))
+
+
+def test_scan_finds_cache_reads():
+    tree = ast.parse(
+        "class C:\n    def m(self, t):\n        return self.cache.get_many(t)\n"
+        "    def g(self, k):\n        return self.get_many(k).get(k)\n"
+        "def f(cache, d):\n    d.get(1)\n    return cache.get(1)\n"
+        "def h(self):\n    return self._cache.get(2)\n"
+    )
+    assert _call_sites(tree, _is_cache_read) == ["C.m", "C.g", "f", "h"]
+
+
+def test_view_cache_is_read_from_one_place():
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _call_sites(ast.parse(path.read_text(encoding="utf-8")), _is_cache_read)
+    ]
+    assert sorted(sites) == ["pageviews.ViewCache.get", "pageviews.ViewClient.lookup"], sites
 
 
 def _xml_imports(tree: ast.AST) -> list[str]:
