@@ -1,8 +1,10 @@
 """Sentence segmentation, trigger matching, and the alumni dataset file.
 
-A sentence is everything up to a full stop, except that a '.' inside a
-wiki link ("[[St. Andrews]]") never splits.  A sentence containing a
-trigger word contributes one record per university link it holds.
+A sentence is everything up to a full stop outside every wiki link, so
+a '.' inside "[[St. Andrews]]" never splits; the full stops inside a
+link that holds a link, as a caption "[[File:X.jpg|At [[Univ A]].]]"
+does, are blanked first.  A sentence containing a trigger word
+contributes one record per university link it holds.
 
 Matching has two halves.  The text half, ``match_alumni``, needs only
 the page and the dictionary; ingest runs it on each person page and
@@ -69,67 +71,53 @@ class Sentence:
     links: tuple[str, ...]
 
 
-# A link with no brackets inside leaves the depth unchanged and hides its
-# full stops, so it is one token; the walk then gives the same splits.
-_SPLIT_TOKEN = re.compile(r"\[\[[^\[\]]*\]\]|\[\[|\]\]|\.")
-# a '[[' that opens no such link; a text without one has no depth to track
+# a '[[' that opens no link free of brackets: the start of a nested link
 _UNPAIRED_OPEN = re.compile(r"\[\[(?![^\[\]]*\]\])")
+_BRACKETS = re.compile(r"\[\[|\]\]")
 
 
 def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> list[Sentence]:
-    """Split at full stops outside [[...]]; each sentence carries its
-    link targets in order of appearance.  A ']]' with no open link is
-    plain text.
-
-    Return only the sentences that hold one of the character offsets in
-    ``containing`` (None: every offset); the walk stops after the
-    sentence of the last.  A text in which every '[[' opens a link with
-    no brackets inside is not walked: each offset's sentence runs from
-    the splitting full stop before it to the one after it."""
+    """Split at the full stops outside every [[...]], once those inside a
+    link that holds a link are blanked; each sentence carries its link
+    targets in order of appearance.  A ']]' with no open link is plain
+    text.  Return only the sentences that hold one of the character
+    offsets in ``containing`` (None: every offset)."""
     if containing is None:
         containing = range(len(wikitext))
-    elif not _UNPAIRED_OPEN.search(wikitext):
-        return _sentences(wikitext, _spans_between_stops(wikitext, containing))
-    hits = sorted(h for h in set(containing) if 0 <= h < len(wikitext))
-    if not hits:
-        return []
-    spans: list[tuple[int, int]] = []
-    i = 0  # next offset in hits; every earlier one lies before ``start``
-    depth = 0
-    start = 0
-    for token in _SPLIT_TOKEN.finditer(wikitext):
-        kind = token.group()
-        if kind == ".":
-            if depth:
-                continue
-            end = token.end()
-            if hits[i] < end:
-                spans.append((start, end))
-                while i < len(hits) and hits[i] < end:
-                    i += 1
-                if i == len(hits):
-                    return _sentences(wikitext, spans)
-            start = end
-        elif kind == "[[":
-            depth += 1
-        elif kind == "]]" and depth:
-            depth -= 1
-    # the tail after the last full stop is a sentence unless it is blank;
-    # a text with no splitting full stop is one sentence as it stands.  Any hit not
-    # yet passed lies in the tail.
-    tail = wikitext[start:]
-    if tail and (start == 0 or tail.strip()):
-        spans.append((start, len(wikitext)))
-    return _sentences(wikitext, spans)
+    return _sentences(wikitext, _spans_between_stops(_mask_nested(wikitext), containing))
+
+
+def _mask_nested(wikitext: str) -> str:
+    """``wikitext`` with each '.' blanked from every '[[' that opens no
+    link free of brackets to the ']]' that brings the depth of '[[' and
+    ']]' back to 0, or to the end; a text without such a '[[' comes back
+    as it is."""
+    pieces = []
+    done = 0
+    opened = _UNPAIRED_OPEN.search(wikitext)
+    while opened is not None:
+        start = opened.start()
+        end = len(wikitext)
+        depth = 0
+        for token in _BRACKETS.finditer(wikitext, start):
+            depth += 1 if token.group() == "[[" else -1
+            if not depth:
+                end = token.end()
+                break
+        pieces += (wikitext[done:start], wikitext[start:end].replace(".", " "))
+        done = end
+        opened = _UNPAIRED_OPEN.search(wikitext, end)
+    pieces.append(wikitext[done:])
+    return "".join(pieces)
 
 
 def _spans_between_stops(wikitext: str, containing: Iterable[int]) -> list[tuple[int, int]]:
-    """The walk's spans for a text in which every '[[' opens a link with
-    no brackets inside.  A full stop then splits unless it lies inside
-    such a link, that is unless the last '[[' before it closes after it.
-    A sentence ends after the first splitting stop at or after its
-    offset, or at the end of the text, and starts after the splitting
-    stop before that offset."""
+    """The spans of the sentences holding an offset in ``containing``,
+    once only links free of brackets hold full stops.  A full stop splits
+    unless it lies inside such a link, that is unless the last '[['
+    before it closes after it.  A sentence ends after the first splitting
+    stop at or after its offset, or at the end of the text, and starts
+    after the splitting stop before that offset."""
     n = len(wikitext)
     spans: list[tuple[int, int]] = []
     start = 0  # every splitting stop before ``start`` is passed

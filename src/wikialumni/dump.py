@@ -45,9 +45,6 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _BZ2_MAGIC = b"BZh"
 # zstd / lzma / 7z signatures we recognize but do not decompress
 _KNOWN_OTHER = {b"\x28\xb5\x2f\xfd": "zstd", b"\xfd7zX": "xz", b"7z\xbc\xaf": "7z"}
-# byte-order marks that may open a plain-XML dump, which expat reads
-_BOMS = {codecs.BOM_UTF8: "utf-8", codecs.BOM_UTF16_LE: "utf-16-le",
-         codecs.BOM_UTF16_BE: "utf-16-be"}
 
 MAX_REDIRECT_HOPS = 16  # longer chains count as unresolvable
 
@@ -100,16 +97,20 @@ def _open_dump(path: str) -> IO[bytes]:
                 f"{path}: {name}-compressed dumps are not supported; "
                 "recompress as gzip or bz2, or decompress to plain XML"
             )
-    for bom, encoding in _BOMS.items():
-        if head.startswith(bom):
-            head = head[len(bom):].decode(encoding, "ignore").encode()
-            break
-    if head.lstrip()[:1] not in (b"<", b""):
+    if not _plain_xml(head):
         raise DumpFormatError(
             f"{path}: not XML and no recognized compression magic "
             "(supported: plain XML, gzip, bz2)"
         )
     return open(path, "rb")
+
+
+def _plain_xml(head: bytes) -> bool:
+    """Whether head, after a byte-order mark (UTF-8 or UTF-16, which
+    expat reads) and XML whitespace, is '<' or nothing."""
+    if head.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
+        head = head.decode("utf-16", "ignore").encode()
+    return head.removeprefix(codecs.BOM_UTF8).lstrip(_XML_SPACE)[:1] in (b"<", b"")
 
 
 def _localname(tag: str) -> str:
@@ -491,15 +492,15 @@ def shard_spans(path: str, n: int) -> list[Span]:
     A span is a plain byte range of the file.  Cut k of n is the first
     ``<page>`` at or after byte size*k//n that lies past the dump's first
     ``<page>``; equal cuts count once.  The spans run from 0 to the first
-    cut, between cuts, and from the last cut to the end (None).  A gzip
-    or bz2 dump, one that starts with a byte-order mark, or one whose
-    pages are not spelled ``<page>``, is one span: [WHOLE].  A cut that
-    lands inside a comment, CDATA section or processing instruction
-    leaves its left shard unclosed, so that shard fails to parse.
+    cut, between cuts, and from the last cut to the end (None).  The
+    dump may open with a UTF-8 byte-order mark and whitespace; a gzip or
+    bz2 dump, or one whose pages are not spelled ``<page>`` (UTF-16), is
+    one span: [WHOLE].  A cut that lands inside a comment, CDATA section
+    or processing instruction leaves its left shard unclosed, so that
+    shard fails to parse.
     """
     with open(path, "rb") as fh:
-        plain = fh.read(1) == b"<"
-        first = _find_page_tag(fh, 0) if plain and n > 1 else None
+        first = _find_page_tag(fh, 0) if n > 1 and _plain_xml(fh.read(6)) else None
         cuts: list[int] = []
         if first is not None:
             size = os.fstat(fh.fileno()).st_size

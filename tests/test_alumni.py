@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -91,6 +92,9 @@ def test_piped_link_target():
         "[[A.B.|x.y]] stays. Then [[C]].",
         "trailing fragment without stop",
         "[[unclosed link. still one? no",
+        "[[File:X.jpg|thumb|He studied at [[Univ A]]. Later.]] He graduated.",
+        "[[File:x|a. b. c",
+        "[[File:X.jpg|At [[Univ A]]. Then.]][[File:Y.jpg|[[Univ B|B.]] in 1990.]] He left.",
     ],
 )
 def test_split_matches_oracle(text):
@@ -368,7 +372,7 @@ def dotted_registry(tmp_path_factory):
 # ᲂ fold to one (k, σ, о) and keep the folded search.
 PHRASE_ALPHABET = list("ahipsİıſ. ßẞ\u212akΣςᲂﬁ")
 TEXT_PIECES = [".", " ", "[[", "]]", "[[x", "y]]", "|", "İ", "ı", "ſ", "a", "h", "i", "p", "s", "D", "x ",
-               "[[Univ A]]", "[[St. Andrews]]", "[[Univ B|b.]]", "[[univ A|A]]", "[[Nowhere]]",
+               "[[Univ A]]", "[[St. Andrews]]", "[[Univ B|b.]]", "[[univ A|A]]", "[[Nowhere]]", "[[File:x|",
                "ß", "ẞ", "\u212a", "K", "Σ", "ς", "ᲂ", "о", "ﬁ"]
 
 
@@ -436,7 +440,8 @@ def test_trigger_hits_hold_every_prefilter_match(phrases, text):
 @settings(max_examples=500)
 @given(data=st.data())
 def test_split_containing_keeps_sentences_holding_an_offset(data):
-    pieces = st.sampled_from([".", "a", " ", "\n", "|", "[[", "]]", "[[a]]", "[[a.b]]"])
+    pieces = st.sampled_from([".", "a", " ", "\n", "|", "[[", "]]", "[[a]]", "[[a.b]]",
+                              "[[File:x|"])
     text = "".join(data.draw(st.lists(pieces, max_size=25)))
     offsets = data.draw(st.lists(st.integers(-2, len(text) + 2), max_size=4))
     expected = []
@@ -447,6 +452,30 @@ def test_split_containing_keeps_sentences_holding_an_offset(data):
             expected.append(sentence)
         start = end
     assert split_sentences(text, containing=offsets) == expected
+
+
+@pytest.mark.parametrize(
+    "text, step",
+    [
+        ("[[File:a|" + "He studied there. " * 28_000, 1000),  # never closed
+        ("[[a.b]] " * 62_500, 8),  # one sentence, an offset at each link
+        ("[[File:a|[[b]]. c.]] d. " * 21_000, 24),  # captions, an offset at each
+    ],
+    ids=["unclosed_caption", "dotted_links", "closed_captions"],
+)
+def test_split_is_linear_on_nested_text(text, step):
+    offsets = range(0, len(text), step)
+    started = time.monotonic()
+    got = split_sentences(text, containing=offsets)
+    assert time.monotonic() - started < 5
+    expected = []
+    start = 0
+    for sentence in per_char_split(text):
+        end = start + len(sentence.text)
+        if -(-start // step) * step < end:  # the first offset at or after start
+            expected.append(sentence)
+        start = end
+    assert got == expected
 
 
 def test_trigger_ending_in_full_stop(registry):
