@@ -1,10 +1,10 @@
 """Sentence segmentation, trigger matching, and the alumni dataset file.
 
-A sentence is everything up to a full stop outside every wiki link, so
-a '.' inside "[[St. Andrews]]" never splits; the full stops inside a
-link that holds a link, as a caption "[[File:X.jpg|At [[Univ A]].]]"
-does, are blanked first.  A sentence containing a trigger word
-contributes one record per university link it holds.
+A sentence is everything up to a full stop outside every wiki link:
+each full stop inside a link, as in "[[St. Andrews]]" or in a caption
+"[[File:X.jpg|At [[Univ A]].]]", is blanked first, and the rest split.
+A sentence containing a trigger word contributes one record per
+university link it holds.
 
 Matching has two halves.  The text half, ``match_alumni``, needs only
 the page and the dictionary; ingest runs it on each person page and
@@ -71,78 +71,67 @@ class Sentence:
     links: tuple[str, ...]
 
 
-# a '[[' that opens no link free of brackets: the start of a nested link
-_UNPAIRED_OPEN = re.compile(r"\[\[(?![^\[\]]*\]\])")
+# a link free of brackets that holds a full stop, or a '[[' that opens no
+# link free of brackets: the start of a link that holds a link
+_MASKED = re.compile(r"\[\[(?:(?P<dotted>[^\[\].]*\.[^\[\]]*\]\])|(?![^\[\]]*\]\]))")
 _BRACKETS = re.compile(r"\[\[|\]\]")
 
 
 def split_sentences(wikitext: str, containing: Iterable[int] | None = None) -> list[Sentence]:
-    """Split at the full stops outside every [[...]], once those inside a
-    link that holds a link are blanked; each sentence carries its link
-    targets in order of appearance.  A ']]' with no open link is plain
-    text.  Return only the sentences that hold one of the character
-    offsets in ``containing`` (None: every offset)."""
+    """Split at every full stop outside a [[...]]: the stops inside a
+    link are blanked first, and the rest split.  Each sentence carries
+    its link targets in order of appearance.  A ']]' with no open link
+    is plain text.  Return only the sentences that hold one of the
+    character offsets in ``containing`` (None: every offset)."""
     if containing is None:
         containing = range(len(wikitext))
-    return _sentences(wikitext, _spans_between_stops(_mask_nested(wikitext), containing))
+    return _sentences(wikitext, _spans_between_stops(_mask_links(wikitext), containing))
 
 
-def _mask_nested(wikitext: str) -> str:
-    """``wikitext`` with each '.' blanked from every '[[' that opens no
-    link free of brackets to the ']]' that brings the depth of '[[' and
-    ']]' back to 0, or to the end; a text without such a '[[' comes back
-    as it is."""
+def _mask_links(wikitext: str) -> str:
+    """``wikitext`` with each '.' inside a link blanked, that is each '.'
+    where the depth of '[[' and ']]' is above 0.  A link free of brackets
+    is blanked to its ']]'; a '[[' that opens no such link is blanked to
+    the ']]' that brings the depth back to 0, or to the end."""
     pieces = []
     done = 0
-    opened = _UNPAIRED_OPEN.search(wikitext)
-    while opened is not None:
-        start = opened.start()
-        end = len(wikitext)
-        depth = 0
-        for token in _BRACKETS.finditer(wikitext, start):
-            depth += 1 if token.group() == "[[" else -1
-            if not depth:
-                end = token.end()
-                break
+    found = _MASKED.search(wikitext)
+    while found is not None:
+        start, end = found.span()
+        if found["dotted"] is None:
+            end = len(wikitext)
+            depth = 0
+            for token in _BRACKETS.finditer(wikitext, start):
+                depth += 1 if token.group() == "[[" else -1
+                if not depth:
+                    end = token.end()
+                    break
         pieces += (wikitext[done:start], wikitext[start:end].replace(".", " "))
         done = end
-        opened = _UNPAIRED_OPEN.search(wikitext, end)
+        found = _MASKED.search(wikitext, end)
     pieces.append(wikitext[done:])
     return "".join(pieces)
 
 
-def _spans_between_stops(wikitext: str, containing: Iterable[int]) -> list[tuple[int, int]]:
+def _spans_between_stops(masked: str, containing: Iterable[int]) -> list[tuple[int, int]]:
     """The spans of the sentences holding an offset in ``containing``,
-    once only links free of brackets hold full stops.  A full stop splits
-    unless it lies inside such a link, that is unless the last '[['
-    before it closes after it.  A sentence ends after the first splitting
-    stop at or after its offset, or at the end of the text, and starts
-    after the splitting stop before that offset."""
-    n = len(wikitext)
+    where every full stop of ``masked`` splits (its stops inside links
+    are blanked).  A sentence ends after the first stop at or after its
+    offset, or at the end of the text, and starts after the stop before
+    that offset."""
+    n = len(masked)
     spans: list[tuple[int, int]] = []
-    start = 0  # every splitting stop before ``start`` is passed
+    start = 0  # every stop before ``start`` is passed
     for hit in sorted(h for h in set(containing) if 0 <= h < n):
         if spans and hit < spans[-1][1]:
             continue
-        stop = wikitext.rfind(".", start, hit)
-        while stop != -1:
-            opened = wikitext.rfind("[[", start, stop)
-            if opened == -1 or wikitext.find("]]", opened) < stop:
-                start = stop + 1
-                break
-            stop = wikitext.rfind(".", start, opened)
-        stop = wikitext.find(".", hit)
-        while stop != -1:
-            opened = wikitext.rfind("[[", start, stop)
-            if opened == -1:
-                break
-            closed = wikitext.find("]]", opened)
-            if closed < stop:
-                break
-            stop = wikitext.find(".", closed)
+        stop = masked.rfind(".", start, hit)
+        if stop != -1:
+            start = stop + 1
+        stop = masked.find(".", hit)
         if stop == -1:
             # the tail is a sentence unless it is blank and follows a stop
-            if start == 0 or wikitext[start:].strip():
+            if start == 0 or masked[start:].strip():
                 spans.append((start, n))
             break
         spans.append((start, stop + 1))

@@ -122,11 +122,11 @@ def rank_universities(records: Iterable[AlumniRecord], name: str) -> Ranking:
             continue
         sums[rec.university_id] = sums.get(rec.university_id, 0) + rec.views_total
         names[rec.university_id] = rec.university_name
-    ordered = sorted(sums.items(), key=lambda kv: (-kv[1], names[kv[0]]))
-    return Ranking(entries=tuple((uid, float(score)) for uid, score in ordered), name=name)
+    return ranking_from_scores({uid: float(total) for uid, total in sums.items()}, names, name)
 
 
 def ranking_from_scores(scores: dict[int, float], names: dict[int, str], name: str) -> Ranking:
+    """Score descending, ties by name (by the id where ``names`` has none)."""
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], names.get(kv[0], str(kv[0]))))
     return Ranking(entries=tuple(ordered), name=name)
 

@@ -65,7 +65,7 @@ class Registry:
         self._index: dict[tuple[str, str], int] = {}
         for uni in universities.values():
             for lang, titles in uni.titles.items():
-                for title in titles:
+                for title in sorted(titles):
                     key = (lang, title)
                     other = self._index.get(key)
                     if other is not None and other != uni.id:

@@ -4,7 +4,10 @@
 import math
 import random
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,7 @@ from wikialumni.dump import WikiPage
 from wikialumni.pageviews import FixtureBackend, LiveBackend, RateLimiter, ViewCache, ViewClient
 from wikialumni.persons import extract_birth_year
 
-from conftest import TABLE5_ORDER, fetch_views, table_records
+from conftest import TABLE5_ORDER, child_env, fetch_views, table_records
 from mini_corpus import build_mini_project
 from test_persons import BIRTH_YEAR_CASES, CURRENT_YEAR, oracle_birth_year
 
@@ -118,6 +121,35 @@ def test_criterion_5_end_to_end_golden(tmp_path):
     assert elapsed < 10.0
     ok(5, f"two mini-dump pipeline runs byte-identical across "
           f"{len(first)} files ({elapsed:.2f}s total)")
+
+
+def test_criterion_5_golden_across_hash_seeds(tmp_path):
+    """The mini pipeline in two interpreters with different string
+    hashes: every output file is byte-identical."""
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_acceptance import run_pipeline\n"
+        "run_pipeline(Path(sys.argv[2]))\n"
+    )
+    trees = []
+    for seed in (1, 2):
+        root = tmp_path / f"seed{seed}"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent), str(root)],
+            env={**child_env(), "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        trees.append({
+            p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()
+        })
+    assert trees[0].keys() == trees[1].keys()
+    assert any(k.endswith("dataset.tsv") for k in trees[0])
+    for key in trees[0]:
+        assert trees[0][key] == trees[1][key], f"output differs across hash seeds: {key}"
 
 
 def synthetic_records(n=5000, seed=99):

@@ -95,6 +95,8 @@ def test_piped_link_target():
         "[[File:X.jpg|thumb|He studied at [[Univ A]]. Later.]] He graduated.",
         "[[File:x|a. b. c",
         "[[File:X.jpg|At [[Univ A]]. Then.]][[File:Y.jpg|[[Univ B|B.]] in 1990.]] He left.",
+        "[[a.b]] [[File:x|[[c.d]]. e.]] f.",
+        "x]] [[a.b]]. [[c",
     ],
 )
 def test_split_matches_oracle(text):
@@ -144,6 +146,38 @@ def per_char_split(wikitext):
         Sentence(text, tuple(m.group(1).split("|", 1)[0] for m in link.finditer(text)))
         for text in sentences
     ]
+
+
+def per_char_mask(wikitext):
+    """wikitext with each '.' blanked where per_char_split's '[[' and ']]'
+    depth is above 0."""
+    masked = list(wikitext)
+    depth = 0
+    i = 0
+    while i < len(wikitext):
+        two = wikitext[i : i + 2]
+        if two == "[[":
+            depth += 1
+            i += 2
+            continue
+        if two == "]]" and depth > 0:
+            depth -= 1
+            i += 2
+            continue
+        if wikitext[i] == "." and depth > 0:
+            masked[i] = " "
+        i += 1
+    return "".join(masked)
+
+
+MASK_PIECES = [".", "[", "]", "[[", "]]", "]]]", "[[[", "|", "\n", "[[a.b]]", "[[File:x|y", "a", " "]
+
+
+def test_mask_matches_per_char_depth():
+    rng = random.Random(20202)
+    for _ in range(20_000):
+        text = "".join(rng.choices(MASK_PIECES, k=rng.randrange(30)))
+        assert alumni._mask_links(text) == per_char_mask(text), text
 
 
 def test_split_matches_per_char_loop_on_random_strings():
@@ -460,8 +494,9 @@ def test_split_containing_keeps_sentences_holding_an_offset(data):
         ("[[File:a|" + "He studied there. " * 28_000, 1000),  # never closed
         ("[[a.b]] " * 62_500, 8),  # one sentence, an offset at each link
         ("[[File:a|[[b]]. c.]] d. " * 21_000, 24),  # captions, an offset at each
+        ("[[a]] " * 83_000 + "b.", 83_000 * 6),  # plain links, one offset at the end
     ],
-    ids=["unclosed_caption", "dotted_links", "closed_captions"],
+    ids=["unclosed_caption", "dotted_links", "closed_captions", "plain_links"],
 )
 def test_split_is_linear_on_nested_text(text, step):
     offsets = range(0, len(text), step)

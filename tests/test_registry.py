@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,7 @@ from wikialumni.registry import (
     normalize_title,
 )
 
-from conftest import write_universities_file
+from conftest import child_env, write_universities_file
 
 
 @pytest.mark.parametrize(
@@ -63,6 +66,31 @@ def test_title_collision_names_both(tmp_path):
         load_registry(path)
     assert "Columbia University" in str(exc.value)
     assert "Columbia College" in str(exc.value)
+
+
+def test_title_collision_error_does_not_depend_on_the_hash_seed(tmp_path):
+    rows = [(uid, f"U{uid}", "en", title) for uid in (1, 2) for title in ("Alpha", "Beta", "Gamma")]
+    path = registry_file(tmp_path, rows)
+    script = (
+        "import sys\n"
+        "from wikialumni.errors import RegistryError\n"
+        "from wikialumni.registry import load_registry\n"
+        "try:\n"
+        "    load_registry(sys.argv[1])\n"
+        "except RegistryError as exc:\n"
+        "    print(exc)\n"
+    )
+    messages = set()
+    for seed in range(1, 7):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env={**child_env(), "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        messages.add(result.stdout)
+    assert len(messages) == 1, messages
+    assert "'Alpha'" in messages.pop()
 
 
 def test_duplicate_id_conflicting_names(tmp_path):
