@@ -154,7 +154,6 @@ def _page_grammar() -> re.Pattern[str]:
         rf"<page>{_S}<title>(?P<title>{_TEXT})</title>{_S}<ns>(?P<ns>-?[0-9]+)</ns>"
         rf"{_S}<id>(?P<id>[0-9]+)</id>"
         rf"(?:{_S}<redirect[ \t\r\n]+title{_S}={_S}(?P<redirect>{_VALUE}){_S}/>)?"
-        rf"(?:{_S}<restrictions>{_TEXT}</restrictions>)?"
         rf"(?:{_S}(?P<revision><revision>{_children(1)}"
         rf"(?:{_S}<text{_attributes('bytes', 'sha1', 'xml:space', 'deleted')}{_S}"
         rf"(?:/>|>(?P<text>{_TEXT})</text{_S}>){_children(2)})?{_S}</revision>))+{_S}</page>"

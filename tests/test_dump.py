@@ -558,20 +558,10 @@ def test_real_and_generated_dumps_take_only_the_fast_path(tmp_path):
     real = tmp_path / "real.xml"
     real.write_text(REAL_EXPORT, encoding="utf-8")
     generated = write_dump(tmp_path, THREE_PAGES * 5, name="generated.xml")
-    # the export schema puts <restrictions>, legacy protection settings,
-    # between <redirect> and the first <revision>
-    restricted = tmp_path / "restricted.xml"
-    restricted.write_text(REAL_EXPORT.replace(
-        '<redirect title="Computer accessibility" />',
-        '<redirect title="Computer accessibility" />\n    '
-        "<restrictions>edit=sysop:move=sysop</restrictions>",
-    ).replace("<id>12</id>", "<id>12</id><restrictions>move=sysop &amp; more</restrictions>"),
-        encoding="utf-8")
-    expected = {path: expat_outcome(path) for path in (real, generated, restricted)}
+    expected = {path: expat_outcome(path) for path in (real, generated)}
     with mock.patch.object(dump, "_read_page", side_effect=AssertionError("slow path")):
         assert outcome(stream_pages(source(real))) == expected[real]
         assert outcome(stream_pages(source(generated))) == expected[generated]
-        assert outcome(stream_pages(source(restricted))) == expected[restricted] == expected[real]
         assert shard_pages(generated, 3) == expected[generated][0]
     pages = expected[real][0]
     assert [p.redirect_target for p in pages] == ["Computer accessibility", None]
@@ -668,8 +658,7 @@ pages_st = st.lists(
             min_size=1, max_size=3,
         ),
         "mutation": st.sampled_from(
-            [None, None, "ns_first", "repeated_attribute", "restrictions",
-             "restrictions_of_char_data"]
+            [None, None, "ns_first", "repeated_attribute", "restrictions"]
         ),
         "gap": st.sampled_from(["", "\n  ", "<!-- <page> -->", "<!--c-->\n"]),
     }),
@@ -684,8 +673,6 @@ def page_of(spec, page_id):
     redirect = "" if spec["redirect"] is None else f'<redirect title="{spec["redirect"]}" />'
     if spec["mutation"] == "restrictions":
         redirect += "<restrictions>edit=sysop</restrictions>"
-    if spec["mutation"] == "restrictions_of_char_data":
-        redirect += f"\n  <restrictions>{spec['title']}</restrictions>"
     body = "".join(revision_xml(text, shape) for text, shape in spec["revisions"])
     if spec["mutation"] == "repeated_attribute":
         body = body.replace("<text ", '<text bytes="1" bytes="1" ', 1)
